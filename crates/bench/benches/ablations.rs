@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **BGP reordering** — the SPARQL evaluator's greedy selectivity-based
+//! * **BGP reordering** — the SPARQL planner's connectivity-first
 //!   triple-pattern ordering vs. naive source order;
 //! * **parse hoisting** — compiling/parsing a pattern once per workload
 //!   (what `Matcher` does) vs. re-parsing the generated SPARQL per QEP;

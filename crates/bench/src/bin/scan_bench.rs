@@ -1,8 +1,10 @@
 //! `scan_bench` — pruned vs. unpruned knowledge-base scan (the fig9-style
 //! experiment for the workload pruning index), plus the query-planner
-//! ablation: every builtin pattern searched across the paper-shaped
-//! workload with the planner on (greedy order, guided paths) and off
-//! (source order), reported under the `"planner"` key.
+//! ablation: every builtin and extended pattern searched across the
+//! paper-shaped workload with the planner on (connectivity-first order,
+//! guided paths) and off (source order), reported under the `"planner"`
+//! key with wall times and the deterministic fuel (evaluation steps)
+//! ratio of planner to source order.
 //!
 //! The workload is half paper-shaped QEPs (which the built-in patterns can
 //! fire on) and half prunable aggregation chains (which no pattern can
@@ -146,16 +148,18 @@ fn main() {
         pruned.stats.prune_rate() * 100.0
     );
 
-    // Planner ablation: each builtin pattern across the paper-shaped half
-    // (the fillers never match and would only add constant noise), greedy
-    // order vs the source-order oracle. Recursive patterns — descendant
-    // relationships compile to property-path closures — are the ones the
-    // direction-guided planner exists for, so they are called out.
-    println!("\n# planner (greedy order) vs. source-order oracle, per builtin pattern");
+    // Planner ablation: each builtin and extended pattern across the
+    // paper-shaped half (the fillers never match and would only add
+    // constant noise), planner order vs the source-order oracle.
+    // Recursive patterns — descendant relationships compile to
+    // property-path closures — are the ones the direction-guided planner
+    // exists for, so they are called out.
+    println!("\n# planner vs. source-order oracle, per builtin and extended pattern");
     let paper_half = &workload[..half];
     let mut planner_entries = Vec::new();
     let mut best_recursive_speedup = 0.0f64;
-    for entry in builtin::paper_entries() {
+    let mut worst_fuel_ratio = 0.0f64;
+    for entry in builtin::extended_entries() {
         let recursive = entry.pattern.pops.iter().any(|p| {
             p.streams
                 .iter()
@@ -174,8 +178,10 @@ fn main() {
         if recursive {
             best_recursive_speedup = best_recursive_speedup.max(speedup);
         }
+        let fuel_ratio = optimized.fuel_spent as f64 / plain.fuel_spent.max(1) as f64;
+        worst_fuel_ratio = worst_fuel_ratio.max(fuel_ratio);
         println!(
-            "{:32} {}  source-order {plain_time:?}  optimized {optimized_time:?}  speedup {speedup:.2}x  ({} matches, {} reorders)",
+            "{:32} {}  source-order {plain_time:?}  optimized {optimized_time:?}  speedup {speedup:.2}x  fuel {fuel_ratio:.3}x  ({} matches, {} reorders)",
             entry.name,
             if recursive { "recursive" } else { "flat     " },
             optimized.matches.len(),
@@ -193,6 +199,15 @@ fn main() {
                 json_f64(optimized_time.as_secs_f64()),
             ),
             ("speedup".to_string(), json_f64(speedup)),
+            (
+                "unoptimized_fuel".to_string(),
+                json_usize(plain.fuel_spent as usize),
+            ),
+            (
+                "optimized_fuel".to_string(),
+                json_usize(optimized.fuel_spent as usize),
+            ),
+            ("fuel_ratio".to_string(), json_f64(fuel_ratio)),
             ("matches".to_string(), json_usize(optimized.matches.len())),
             (
                 "reorders".to_string(),
@@ -201,6 +216,7 @@ fn main() {
         ]));
     }
     println!("best recursive-pattern speedup: {best_recursive_speedup:.2}x");
+    println!("worst planner/source-order fuel ratio: {worst_fuel_ratio:.3}x");
 
     let stats = &pruned.stats;
     let json = Value::Object(vec![
@@ -242,6 +258,7 @@ fn main() {
                     "best_recursive_speedup".to_string(),
                     json_f64(best_recursive_speedup),
                 ),
+                ("worst_fuel_ratio".to_string(), json_f64(worst_fuel_ratio)),
             ]),
         ),
     ]);

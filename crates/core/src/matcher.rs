@@ -1,21 +1,20 @@
 //! Algorithm 3: finding matches.
 //!
-//! A [`Matcher`] holds a pattern compiled to SPARQL (parsed once — the
-//! workload loop re-executes it against every QEP's graph). Matched
-//! solutions are **de-transformed**: RDF resources are mapped back to plan
-//! context — operator numbers with their types, and base objects by name —
-//! which is what the paper's step "relates any matched portions of RDF
-//! structure back to corresponding query plan" produces.
+//! A [`Matcher`] holds a pattern compiled to SPARQL, parsed and translated
+//! to an algebra plan once — the workload loop re-executes that plan
+//! against every QEP's graph. Matched solutions are **de-transformed**:
+//! RDF resources are mapped back to plan context — operator numbers with
+//! their types, and base objects by name — which is what the paper's step
+//! "relates any matched portions of RDF structure back to corresponding
+//! query plan" produces.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use optimatch_rdf::Term;
-use optimatch_sparql::{
-    ast, execute_parsed_traced, explain_parsed, parse_query, Budget, EvalStats, PhysicalPlan,
-    PlanOptions,
-};
+use optimatch_sparql::algebra::{self, Plan};
+use optimatch_sparql::{eval, parse_query, plan, Budget, EvalStats, PhysicalPlan, PlanOptions};
 
 use crate::compile::compile_pattern;
 use crate::error::Error;
@@ -94,18 +93,20 @@ impl PatternMatch {
     }
 }
 
-/// A pattern compiled and parsed, ready to run across a workload.
+/// A pattern compiled, parsed, and translated, ready to run across a
+/// workload.
 #[derive(Debug, Clone)]
 pub struct Matcher {
     pattern: Pattern,
     sparql: String,
-    query: ast::Query,
+    plan: Plan,
     required: RequiredFeatures,
 }
 
 impl Matcher {
-    /// Compile a pattern (Algorithm 2), parse the generated SPARQL, and
-    /// derive the required-features set used for workload pruning.
+    /// Compile a pattern (Algorithm 2), parse the generated SPARQL,
+    /// translate it to the algebra plan every unit evaluates, and derive
+    /// the required-features set used for workload pruning.
     pub fn compile(pattern: &Pattern) -> Result<Matcher, Error> {
         let sparql = compile_pattern(pattern)?;
         let query = parse_query(&sparql)?;
@@ -113,7 +114,7 @@ impl Matcher {
         Ok(Matcher {
             pattern: pattern.clone(),
             sparql,
-            query,
+            plan: algebra::translate(&query)?,
             required,
         })
     }
@@ -168,9 +169,9 @@ impl Matcher {
         optimize: bool,
     ) -> Result<(Vec<PatternMatch>, EvalStats), Error> {
         crate::chaos::trip(&self.pattern.name)?;
-        let (table, planner) = execute_parsed_traced(
+        let (table, planner) = eval::evaluate_traced(
             &t.graph,
-            &self.query,
+            &self.plan,
             PlanOptions::default().optimize(optimize),
             budget,
         )?;
@@ -196,10 +197,10 @@ impl Matcher {
 
     /// The planner's physical plan for this pattern against one QEP's
     /// graph, without evaluating any rows — what `optimatch explain`
-    /// renders. The replay is exact: planner decisions depend only on the
-    /// graph's statistics and bound-variable flags, never on row contents.
+    /// renders. It is the order evaluation executes: both come from the
+    /// same ordering routine.
     pub fn explain(&self, t: &TransformedQep, options: PlanOptions) -> Result<PhysicalPlan, Error> {
-        Ok(explain_parsed(&t.graph, &self.query, options)?)
+        Ok(plan::explain_plan(&t.graph, &self.plan, options))
     }
 
     /// Match across a workload, concatenating per-QEP matches

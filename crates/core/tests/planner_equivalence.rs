@@ -1,7 +1,7 @@
 //! Planner equivalence over the real knowledge base: every builtin
 //! pattern — the paper's four plus the extended entries — matched against
 //! every QEP fixture must produce the same multiset of matches whether
-//! the query planner is on (greedy most-selective-first order) or off
+//! the query planner is on (connectivity-first cheapest order) or off
 //! (source order, the correctness oracle). The oracle run must also leave
 //! an empty planner trace, which is what keeps deterministic
 //! whole-outcome comparisons (chaos, crash-sim) meaningful.

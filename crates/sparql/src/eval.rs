@@ -5,13 +5,13 @@
 //! pool's length), so expression evaluation can still resolve them while
 //! BGP matching knows they can never match a stored triple.
 //!
-//! BGP triple patterns are reordered greedily by estimated selectivity
-//! before matching: the [`crate::plan`] estimator prices each pattern from
-//! the graph's cached cardinality statistics, the cheapest runs first, and
-//! bound-variable propagation re-prices the rest — so later patterns get
-//! index-backed probes instead of scans, and property paths are walked
-//! from whichever endpoint seeds the smaller frontier. The `ablations`
-//! bench measures what this buys on workload-scale matching.
+//! BGP triple patterns run in the order `plan::order_bgp` yields:
+//! the cheapest pattern connected to the variables already bound, priced
+//! from the graph's cached cardinality statistics — so later patterns get
+//! index-backed probes instead of scans, disconnected patterns never run
+//! as cross products while a connecting one remains, and property paths
+//! are walked from whichever endpoint seeds the smaller frontier. The
+//! `ablations` bench measures what this buys on workload-scale matching.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,12 +21,11 @@ use optimatch_rdf::{Graph, GraphStats, Term, TermId};
 use crate::algebra::{
     collect_exists_refs, CExpr, Node, Plan, PlanNodePattern, ProjExpr, TriplePlan,
 };
-use crate::ast::Path;
 use crate::budget::Budget;
 use crate::error::SparqlError;
 use crate::expr::{eval_expr, order_values, Value};
 use crate::path::{compile_path, eval_path_directed};
-use crate::plan::{estimate_pattern, EvalStats, PathDirection, PlanOptions};
+use crate::plan::{order_bgp, EvalStats, PathDirection, PlanOptions, Predicate};
 use crate::results::ResultTable;
 
 /// A solution row: one optional binding per variable slot.
@@ -38,9 +37,8 @@ struct Ctx<'g> {
     graph_terms: usize,
     extra: Vec<Term>,
     extra_ids: HashMap<Term, TermId>,
-    /// When false, BGP patterns are matched in source order (ablation hook).
-    reorder: bool,
-    /// Cardinality statistics for the planner; `None` in oracle mode.
+    /// Cardinality statistics for the planner; `None` in oracle mode,
+    /// where BGP patterns are matched in source order.
     stats: Option<Arc<GraphStats>>,
     /// Planner decision counters accumulated during evaluation.
     trace: EvalStats,
@@ -56,7 +54,6 @@ impl<'g> Ctx<'g> {
             graph_terms: graph.pool().len(),
             extra: Vec::new(),
             extra_ids: HashMap::new(),
-            reorder,
             stats: reorder.then(|| graph.stats()),
             trace: EvalStats::default(),
             budget,
@@ -633,43 +630,21 @@ fn eval_bgp(
     patterns: &[TriplePlan],
     seed: &Row,
 ) -> Result<Vec<Row>, SparqlError> {
-    let mut remaining: Vec<&TriplePlan> = patterns.iter().collect();
     let mut rows: Vec<Row> = vec![seed.clone()];
-    let mut bound: Vec<bool> = seed.iter().map(|b| b.is_some()).collect();
-
-    while !remaining.is_empty() {
-        // Greedy step: re-price every remaining pattern under the current
-        // bound flags and run the cheapest. Ties keep source order (the
-        // first minimum wins), so equal-cost patterns never reorder.
-        let (idx, direction) = match &ctx.stats {
-            Some(stats) if ctx.reorder => {
-                let mut best = 0;
-                let mut best_est = estimate_pattern(ctx.graph, stats, remaining[0], &bound);
-                for (i, tp) in remaining.iter().enumerate().skip(1) {
-                    let est = estimate_pattern(ctx.graph, stats, tp, &bound);
-                    if est.cost < best_est.cost {
-                        best = i;
-                        best_est = est;
-                    }
-                }
-                ctx.trace.record(&best_est, best != 0);
-                (best, best_est.direction)
-            }
-            _ => (0, PathDirection::Forward),
-        };
-        let tp = remaining.remove(idx);
-        rows = match_pattern(ctx, tp, rows, direction)?;
-        if ctx.reorder {
-            ctx.trace.actual_rows = ctx.trace.actual_rows.saturating_add(rows.len() as u64);
-        }
-        if let PlanNodePattern::Var(v) = &tp.subject {
-            bound[*v] = true;
-        }
-        if let PlanNodePattern::Var(v) = &tp.object {
-            bound[*v] = true;
-        }
+    let bound: Vec<bool> = seed.iter().map(Option::is_some).collect();
+    let stats = ctx.stats.clone();
+    let options = PlanOptions {
+        optimize: stats.is_some(),
+    };
+    for step in order_bgp(ctx.graph, stats.as_deref(), patterns, &bound, options) {
+        let tp = &patterns[step.source_pos];
+        let direction = step
+            .estimate
+            .map_or(PathDirection::Forward, |e| e.direction);
+        rows = match_pattern(ctx, tp, step.predicate, rows, direction)?;
+        ctx.trace.record(&step, rows.len());
         if rows.is_empty() {
-            return Ok(rows);
+            break;
         }
     }
     Ok(rows)
@@ -678,51 +653,10 @@ fn eval_bgp(
 fn match_pattern(
     ctx: &mut Ctx<'_>,
     tp: &TriplePlan,
+    predicate: Predicate,
     rows: Vec<Row>,
     direction: PathDirection,
 ) -> Result<Vec<Row>, SparqlError> {
-    // Variable predicates (`?s ?p ?o`) scan with the predicate position
-    // open and bind it per match.
-    if let Some(pv) = tp.path_var {
-        let mut out = Vec::new();
-        let const_s = match &tp.subject {
-            PlanNodePattern::Term(t) => Some(ctx.intern(t)),
-            PlanNodePattern::Var(_) => None,
-        };
-        let const_o = match &tp.object {
-            PlanNodePattern::Term(t) => Some(ctx.intern(t)),
-            PlanNodePattern::Var(_) => None,
-        };
-        for row in rows {
-            ctx.budget.charge(1)?;
-            let s = const_s.or_else(|| match &tp.subject {
-                PlanNodePattern::Var(v) => row[*v],
-                PlanNodePattern::Term(_) => None,
-            });
-            let o = const_o.or_else(|| match &tp.object {
-                PlanNodePattern::Var(v) => row[*v],
-                PlanNodePattern::Term(_) => None,
-            });
-            let p = row[pv];
-            if s.is_some_and(|id| !ctx.in_graph(id))
-                || o.is_some_and(|id| !ctx.in_graph(id))
-                || p.is_some_and(|id| !ctx.in_graph(id))
-            {
-                continue;
-            }
-            for [ms, mp, mo] in ctx.graph.matching_ids(s, p, o) {
-                ctx.budget.charge(1)?;
-                let before = out.len();
-                extend_row(&row, tp, ms, mo, &mut out);
-                // Bind the predicate on rows just added.
-                for new_row in &mut out[before..] {
-                    new_row[pv] = Some(mp);
-                }
-            }
-        }
-        return Ok(out);
-    }
-
     // Resolve constant endpoints once.
     let const_s = match &tp.subject {
         PlanNodePattern::Term(t) => Some(ctx.intern(t)),
@@ -732,14 +666,17 @@ fn match_pattern(
         PlanNodePattern::Term(t) => Some(ctx.intern(t)),
         PlanNodePattern::Var(_) => None,
     };
-    let plain_pred = match &tp.path {
-        Path::Iri(iri) => Some(ctx.graph.term_id(&Term::iri(iri.clone()))),
-        _ => None,
-    };
-    let compiled_path = if plain_pred.is_none() {
-        Some(compile_path(ctx.graph, &tp.path))
-    } else {
-        None
+    let compiled_path = match predicate {
+        Predicate::Path => Some(compile_path(ctx.graph, &tp.path)),
+        // Predicate not in graph: no matches at all (one row's charge, as
+        // any other pattern pays before its first probe).
+        Predicate::Iri(None) => {
+            if !rows.is_empty() {
+                ctx.budget.charge(1)?;
+            }
+            return Ok(Vec::new());
+        }
+        Predicate::Iri(Some(_)) | Predicate::Var(_) => None,
     };
 
     let mut out = Vec::new();
@@ -747,31 +684,18 @@ fn match_pattern(
         ctx.budget.charge(1)?;
         let s = const_s.or_else(|| match &tp.subject {
             PlanNodePattern::Var(v) => row[*v],
-            PlanNodePattern::Term(_) => unreachable!(),
+            PlanNodePattern::Term(_) => None,
         });
         let o = const_o.or_else(|| match &tp.object {
             PlanNodePattern::Var(v) => row[*v],
-            PlanNodePattern::Term(_) => unreachable!(),
+            PlanNodePattern::Term(_) => None,
         });
 
         // Endpoints outside the graph can only satisfy zero-length paths;
-        // the path evaluator handles that case itself. For plain predicates
-        // they can never match.
-        match (&plain_pred, &compiled_path) {
-            (Some(pred), _) => {
-                let Some(pred) = pred else {
-                    // Predicate not in graph: no matches at all.
-                    return Ok(Vec::new());
-                };
-                if s.is_some_and(|id| !ctx.in_graph(id)) || o.is_some_and(|id| !ctx.in_graph(id)) {
-                    continue;
-                }
-                for [ms, _, mo] in ctx.graph.matching_ids(s, Some(*pred), o) {
-                    ctx.budget.charge(1)?;
-                    extend_row(&row, tp, ms, mo, &mut out);
-                }
-            }
-            (None, Some(cpath)) => {
+        // the path evaluator handles that case itself. For plain and
+        // variable predicates they can never match.
+        match (predicate, &compiled_path) {
+            (Predicate::Path, Some(cpath)) => {
                 let pairs = eval_path_directed(ctx.graph, cpath, s, o, ctx.budget, direction);
                 // The path engine bails out silently on exhaustion; turn
                 // the latched flag into the typed error here.
@@ -781,7 +705,36 @@ fn match_pattern(
                     extend_row(&row, tp, ms, mo, &mut out);
                 }
             }
-            (None, None) => unreachable!("one of pred/path is set"),
+            (Predicate::Iri(Some(pred)), _) => {
+                if s.is_some_and(|id| !ctx.in_graph(id)) || o.is_some_and(|id| !ctx.in_graph(id)) {
+                    continue;
+                }
+                for [ms, _, mo] in ctx.graph.matching_ids(s, Some(pred), o) {
+                    ctx.budget.charge(1)?;
+                    extend_row(&row, tp, ms, mo, &mut out);
+                }
+            }
+            // Variable predicates (`?s ?p ?o`) scan with the predicate
+            // position open and bind it per match.
+            (Predicate::Var(pv), _) => {
+                let p = row[pv];
+                if s.is_some_and(|id| !ctx.in_graph(id))
+                    || o.is_some_and(|id| !ctx.in_graph(id))
+                    || p.is_some_and(|id| !ctx.in_graph(id))
+                {
+                    continue;
+                }
+                for [ms, mp, mo] in ctx.graph.matching_ids(s, p, o) {
+                    ctx.budget.charge(1)?;
+                    let before = out.len();
+                    extend_row(&row, tp, ms, mo, &mut out);
+                    // Bind the predicate on rows just added.
+                    for new_row in &mut out[before..] {
+                        new_row[pv] = Some(mp);
+                    }
+                }
+            }
+            _ => unreachable!("only complex paths compile"),
         }
     }
     Ok(out)

@@ -111,15 +111,3 @@ pub fn execute_parsed_traced(
     let plan = algebra::translate(query)?;
     eval::evaluate_traced(graph, &plan, options, budget)
 }
-
-/// Explain an already-parsed query against a graph: the planner's
-/// ordering, index, and path-direction decisions, without evaluating any
-/// rows.
-pub fn explain_parsed(
-    graph: &Graph,
-    query: &ast::Query,
-    options: PlanOptions,
-) -> Result<PhysicalPlan, SparqlError> {
-    let plan = algebra::translate(query)?;
-    Ok(plan::explain_plan(graph, &plan, options))
-}

@@ -1,37 +1,43 @@
-//! Cost-based query planning: selectivity estimation, greedy join
-//! ordering, and guided property-path plans.
+//! Cost-based query planning: selectivity estimation, connectivity-first
+//! join ordering, and guided property-path plans.
 //!
 //! The estimator turns the per-graph [`GraphStats`] (per-predicate triple
-//! counts and distinct subject/object counts, cached on the
-//! [`Graph`]) into row estimates per triple pattern:
+//! counts and distinct subject/object counts, cached on the [`Graph`])
+//! into per-binding row estimates per triple pattern. Everything that does
+//! not depend on which variables are bound (predicate and constant
+//! lookups, path fans) is resolved once per BGP evaluation:
 //!
+//! * plain predicate with a constant endpoint — the triples matching the
+//!   constant, counted exactly in the index (spread over the variable
+//!   side's distinct values when that side is bound too);
 //! * plain predicate, subject bound — the predicate's average *fan-out*
 //!   (`count / distinct_subjects`);
 //! * plain predicate, object bound — its average *fan-in*
 //!   (`count / distinct_objects`);
-//! * both endpoints bound — `count / (distinct_subjects ·
-//!   distinct_objects)`, the probability-style estimate of one probe;
+//! * both endpoints bound variables — one row: the pattern closes a cycle
+//!   along an edge the bindings already walked;
 //! * nothing bound — the full predicate cardinality;
-//! * complex paths — fans compose structurally (sequence multiplies,
-//!   alternative sums, closures sum powers of the inner fan capped at the
-//!   graph's node count), evaluated in whichever direction is cheaper.
+//! * a predicate or constant endpoint absent from the graph — zero rows
+//!   at zero cost, which proves the BGP empty;
+//! * complex paths — fans compose structurally (sequences multiply,
+//!   alternatives average over their start nodes, closures sum powers of
+//!   the inner fan over `log2(terms)` levels, capped at the term count),
+//!   evaluated in whichever direction is cheaper.
 //!
-//! `eval_bgp` consumes these estimates greedily: cheapest pattern first,
-//! bound-variable propagation after each step so later patterns see more
-//! bound endpoints and become index probes instead of scans. Property
-//! paths additionally carry a [`PathDirection`]: a pattern whose object is
-//! the only bound endpoint is walked *backward* over the reversed path, so
-//! recursive closures seed from the smaller frontier.
-//!
-//! [`explain_plan`] replays exactly the ordering decisions the evaluator
-//! would make (they depend only on the statistics and the bound-variable
-//! flags, never on row contents) and renders them as an `EXPLAIN`-style
-//! [`PhysicalPlan`].
+//! `order_bgp` is the one ordering routine. Each step takes the cheapest
+//! pattern *connected* to the variables bound so far, so a disconnected
+//! scan never runs as a cross product while a connecting pattern remains;
+//! bound-variable propagation turns later patterns into index probes.
+//! Property paths additionally carry a [`PathDirection`]: a pattern whose
+//! object is the only bound endpoint is walked *backward* over the
+//! reversed path, so recursive closures seed from the smaller frontier.
+//! The evaluator executes the steps and [`explain_plan`] renders them as
+//! an `EXPLAIN`-style [`PhysicalPlan`], so the explained plan is the
+//! executed one by construction.
 
 use std::fmt;
-use std::sync::Arc;
 
-use optimatch_rdf::{Graph, GraphStats, IndexChoice, Term};
+use optimatch_rdf::{Graph, GraphStats, IndexChoice, Term, TermId};
 
 use crate::algebra::{Node, Plan, PlanNodePattern, TriplePlan};
 use crate::ast::Path;
@@ -74,28 +80,21 @@ pub enum PathDirection {
     Backward,
 }
 
-impl PathDirection {
-    fn flip(self) -> PathDirection {
-        match self {
-            PathDirection::Forward => PathDirection::Backward,
-            PathDirection::Backward => PathDirection::Forward,
-        }
-    }
-}
-
 /// Planner decision counters, recorded during evaluation and aggregated up
 /// through matcher → scan outcome → session timings → `/metrics`. All
 /// fields are integral so aggregation is deterministic (scan outcomes are
 /// compared whole in the chaos harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Triple patterns planned (BGP members seen by the greedy loop).
+    /// Triple patterns executed by the planner.
     pub patterns: u64,
     /// Patterns executed out of source position.
     pub reorders: u64,
-    /// Summed rounded row estimates across planned patterns.
+    /// Summed rounded output-row estimates of the executed steps: each
+    /// step's estimated input rows × its per-binding rows, so the sum is
+    /// in the same unit as `actual_rows`.
     pub estimated_rows: u64,
-    /// Summed rows actually produced by those patterns.
+    /// Summed rows actually produced by those steps.
     pub actual_rows: u64,
     /// Patterns resolved through the SPO index.
     pub index_spo: u64,
@@ -120,15 +119,21 @@ impl EvalStats {
         self.backward_paths = self.backward_paths.saturating_add(other.backward_paths);
     }
 
-    /// Record one pattern's planning decision.
-    pub fn record(&mut self, est: &Estimate, reordered: bool) {
+    /// Record one executed step and the rows it actually produced. Steps
+    /// planned without statistics (the source-order oracle) carry no
+    /// estimate and are not recorded.
+    pub(crate) fn record(&mut self, step: &BgpStep, actual_rows: usize) {
+        let Some(est) = &step.estimate else {
+            return;
+        };
         self.patterns += 1;
-        if reordered {
+        if step.reordered {
             self.reorders += 1;
         }
         self.estimated_rows = self
             .estimated_rows
-            .saturating_add(est.rows.round().max(0.0) as u64);
+            .saturating_add(step.estimated_rows().round().max(0.0) as u64);
+        self.actual_rows = self.actual_rows.saturating_add(actual_rows as u64);
         match est.index {
             Some(IndexChoice::Spo) => self.index_spo += 1,
             Some(IndexChoice::Pos) => self.index_pos += 1,
@@ -151,13 +156,214 @@ impl EvalStats {
 pub struct Estimate {
     /// Estimated result rows per input row.
     pub rows: f64,
-    /// Estimated evaluation cost (what the greedy loop minimizes).
+    /// Estimated evaluation cost per input row (what the planner
+    /// minimizes among the connected patterns).
     pub cost: f64,
     /// The index a plain-predicate scan will use; `None` for compiled
     /// property paths, which navigate via the path engine instead.
     pub index: Option<IndexChoice>,
     /// Chosen evaluation direction (only meaningful for property paths).
     pub direction: PathDirection,
+}
+
+/// How a BGP member's predicate resolved against one graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Predicate {
+    /// A variable predicate (`?s ?p ?o`), bound per match into this slot.
+    Var(usize),
+    /// A plain IRI: its graph id, `None` when the graph never mentions it.
+    Iri(Option<TermId>),
+    /// A complex property path, navigated by the path engine.
+    Path,
+}
+
+/// The part of a pattern's estimate that does not depend on which
+/// variables are bound, resolved once per BGP evaluation.
+#[derive(Debug, Clone, Copy)]
+enum Cost {
+    /// Variable predicate: only the graph size applies.
+    AnyPredicate { triples: f64 },
+    /// A plain or variable predicate that cannot match: no triple carries
+    /// the predicate, or a constant endpoint is not in the graph. The BGP
+    /// is empty.
+    Absent,
+    /// A plain predicate's cardinalities.
+    Predicate {
+        count: f64,
+        subjects: f64,
+        objects: f64,
+        /// With a constant endpoint: the triples matching it, counted
+        /// exactly in the index (skewed values such as a rare join type
+        /// are far from the predicate's average fan), and the distinct
+        /// values on the variable side they spread over.
+        constant: Option<(f64, f64)>,
+    },
+    /// A complex path's fans and start-node counts in both directions.
+    Path(PathShape),
+}
+
+impl Cost {
+    fn of(graph: &Graph, stats: &GraphStats, tp: &TriplePlan, predicate: Predicate) -> Cost {
+        let iri = match predicate {
+            Predicate::Path => return Cost::Path(path_shape(graph, stats, &tp.path)),
+            Predicate::Var(_) => None,
+            Predicate::Iri(id) => Some(id),
+        };
+        // A constant endpoint outside the graph matches no triple (only
+        // the path engine can match one, over a zero-length path).
+        let constant = |n: &PlanNodePattern| match n {
+            PlanNodePattern::Term(t) => graph.term_id(t).map(Some).ok_or(()),
+            PlanNodePattern::Var(_) => Ok(None),
+        };
+        let (Ok(s), Ok(o)) = (constant(&tp.subject), constant(&tp.object)) else {
+            return Cost::Absent;
+        };
+        let Some(id) = iri else {
+            return Cost::AnyPredicate {
+                triples: stats.triples as f64,
+            };
+        };
+        let Some((p, ps)) = id.and_then(|p| stats.predicate(p).map(|ps| (p, ps))) else {
+            return Cost::Absent;
+        };
+        let (subjects, objects) = (
+            ps.distinct_subjects.max(1) as f64,
+            ps.distinct_objects.max(1) as f64,
+        );
+        let spread = match (s, o) {
+            (None, None) => None,
+            (Some(_), Some(_)) => Some(1.0),
+            (Some(_), None) => Some(objects),
+            (None, Some(_)) => Some(subjects),
+        };
+        Cost::Predicate {
+            count: ps.count as f64,
+            subjects,
+            objects,
+            constant: spread.map(|per| (graph.matching_ids(s, Some(p), o).count() as f64, per)),
+        }
+    }
+
+    /// Price `tp` under the bound-variable flags.
+    ///
+    /// A pattern whose subject and object are both variables bound by
+    /// earlier steps closes a cycle along an edge the bindings already
+    /// walked (a stream's back edge, say), so it is estimated to hold
+    /// once; the independence estimate `count / (subjects · objects)`
+    /// would price such a probe near zero. Its cost keeps the independence
+    /// estimate: one probe either way.
+    fn price(&self, tp: &TriplePlan, bound: &[bool]) -> Estimate {
+        let is_bound = |v: usize| bound.get(v).copied().unwrap_or(false);
+        let endpoint = |n: &PlanNodePattern| match n {
+            PlanNodePattern::Term(_) => true,
+            PlanNodePattern::Var(v) => is_bound(*v),
+        };
+        let (s_bound, o_bound) = (endpoint(&tp.subject), endpoint(&tp.object));
+        let plain = |rows: f64, index| Estimate {
+            rows,
+            cost: rows + 1.0,
+            index: Some(index),
+            direction: PathDirection::Forward,
+        };
+        match *self {
+            Cost::AnyPredicate { triples } => {
+                let rows = match (s_bound, o_bound) {
+                    (true, true) => 1.0,
+                    (true, false) | (false, true) => triples.sqrt().max(1.0),
+                    (false, false) => triples,
+                };
+                let p_bound = tp.path_var.is_some_and(is_bound);
+                plain(rows, Graph::index_for(s_bound, p_bound, o_bound))
+            }
+            // Absent predicate: free to run, proves the BGP empty.
+            Cost::Absent => Estimate {
+                rows: 0.0,
+                cost: 0.0,
+                index: Some(Graph::index_for(s_bound, true, o_bound)),
+                direction: PathDirection::Forward,
+            },
+            Cost::Predicate {
+                count,
+                subjects,
+                objects,
+                constant,
+            } => {
+                let index = if s_bound {
+                    IndexChoice::Spo
+                } else {
+                    IndexChoice::Pos
+                };
+                match (constant, s_bound, o_bound) {
+                    (Some((matches, per)), true, true) => plain(matches / per, index),
+                    (Some((matches, _)), _, _) => plain(matches, index),
+                    (None, true, true) => Estimate {
+                        rows: 1.0,
+                        ..plain(count / (subjects * objects), index)
+                    },
+                    (None, true, false) => plain(count / subjects, index),
+                    (None, false, true) => plain(count / objects, index),
+                    (None, false, false) => plain(count, index),
+                }
+            }
+            Cost::Path(PathShape {
+                fan_f,
+                fan_b,
+                src_f,
+                src_b,
+            }) => {
+                let (rows, cost, direction) = match (s_bound, o_bound) {
+                    // Reachability check: walk from the smaller frontier.
+                    (true, true) => {
+                        let dir = if fan_f <= fan_b {
+                            PathDirection::Forward
+                        } else {
+                            PathDirection::Backward
+                        };
+                        (1.0, fan_f.min(fan_b) + 1.0, dir)
+                    }
+                    (true, false) => (fan_f, fan_f + 1.0, PathDirection::Forward),
+                    (false, true) => (fan_b, fan_b + 1.0, PathDirection::Backward),
+                    (false, false) => {
+                        let cost_f = src_f * (fan_f + 1.0);
+                        let cost_b = src_b * (fan_b + 1.0);
+                        let dir = if cost_f <= cost_b {
+                            PathDirection::Forward
+                        } else {
+                            PathDirection::Backward
+                        };
+                        ((src_f * fan_f).min(src_b * fan_b), cost_f.min(cost_b), dir)
+                    }
+                };
+                Estimate {
+                    rows,
+                    cost,
+                    index: None,
+                    direction,
+                }
+            }
+        }
+    }
+}
+
+/// Resolve a pattern's predicate against the graph (one term lookup for a
+/// plain IRI, none otherwise).
+fn resolve_predicate(graph: &Graph, tp: &TriplePlan) -> Predicate {
+    match (&tp.path_var, &tp.path) {
+        (Some(pv), _) => Predicate::Var(*pv),
+        (None, Path::Iri(iri)) => Predicate::Iri(graph.term_id(&Term::iri(iri.clone()))),
+        (None, _) => Predicate::Path,
+    }
+}
+
+/// The variable slots a pattern mentions: subject, object, predicate.
+fn pattern_vars(tp: &TriplePlan) -> impl Iterator<Item = usize> + '_ {
+    let var = |n: &PlanNodePattern| match n {
+        PlanNodePattern::Var(v) => Some(*v),
+        PlanNodePattern::Term(_) => None,
+    };
+    [var(&tp.subject), var(&tp.object), tp.path_var]
+        .into_iter()
+        .flatten()
 }
 
 /// Estimate one triple pattern given which variable slots are bound.
@@ -167,172 +373,299 @@ pub fn estimate_pattern(
     tp: &TriplePlan,
     bound: &[bool],
 ) -> Estimate {
-    let s_bound = match &tp.subject {
-        PlanNodePattern::Term(_) => true,
-        PlanNodePattern::Var(v) => bound.get(*v).copied().unwrap_or(false),
-    };
-    let o_bound = match &tp.object {
-        PlanNodePattern::Term(_) => true,
-        PlanNodePattern::Var(v) => bound.get(*v).copied().unwrap_or(false),
-    };
-    let triples = stats.triples as f64;
+    Cost::of(graph, stats, tp, resolve_predicate(graph, tp)).price(tp, bound)
+}
 
-    // Variable predicate (`?s ?p ?o`): no per-predicate statistics apply.
-    if let Some(pv) = tp.path_var {
-        let p_bound = bound.get(pv).copied().unwrap_or(false);
-        let rows = match (s_bound, o_bound) {
-            (true, true) => 1.0,
-            (true, false) | (false, true) => triples.sqrt().max(1.0),
-            (false, false) => triples,
-        };
-        return Estimate {
-            rows,
-            cost: rows + 1.0,
-            index: Some(Graph::index_for(s_bound, p_bound, o_bound)),
-            direction: PathDirection::Forward,
-        };
+/// How much cheaper a pattern must be estimated than the source-order
+/// first pattern to seed a BGP in its place. The seed step has no
+/// connectivity to go by, and a scan that looks a little cheaper can start
+/// a long walk through the plan before any filter applies (base objects
+/// walked up to their consumers, say), so near-ties keep the order the
+/// pattern compiler wrote: anchor operator first. Later steps take the
+/// cheapest connected pattern outright.
+const SEED_REORDER_MARGIN: f64 = 2.0;
+
+/// One step of a BGP's execution order, as [`order_bgp`] decides it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BgpStep {
+    /// The pattern's position in the BGP source (0-based).
+    pub(crate) source_pos: usize,
+    /// The pattern's predicate, resolved against the graph.
+    pub(crate) predicate: Predicate,
+    /// The pattern's estimate under the bound flags at this step; `None`
+    /// when ordering without statistics (the source-order oracle).
+    pub(crate) estimate: Option<Estimate>,
+    /// Estimated rows entering this step (1 for the first step).
+    pub(crate) input_rows: f64,
+    /// True when the step runs ahead of an earlier-source pattern.
+    pub(crate) reordered: bool,
+    /// True when earlier steps bound rows but this pattern shares no bound
+    /// variable with them: the step multiplies the rows (a cross product).
+    pub(crate) cartesian: bool,
+}
+
+impl BgpStep {
+    /// Estimated rows this step produces: input rows × per-binding rows.
+    pub(crate) fn estimated_rows(&self) -> f64 {
+        self.estimate.map_or(0.0, |e| self.input_rows * e.rows)
+    }
+}
+
+/// The execution order of one BGP, produced lazily one [`BgpStep`] at a
+/// time so an evaluation that empties out early stops planning too. The
+/// only ordering routine: `eval_bgp` executes its steps and
+/// [`explain_plan`] renders them.
+#[derive(Debug)]
+pub(crate) struct BgpOrder<'p> {
+    patterns: &'p [TriplePlan],
+    predicates: Vec<Predicate>,
+    /// Per-pattern statistics; empty when ordering without statistics.
+    costs: Vec<Cost>,
+    /// Source positions not yet taken, in source order.
+    remaining: Vec<usize>,
+    bound: Vec<bool>,
+    optimize: bool,
+    rows: f64,
+    taken: usize,
+    /// Reused per step: `(index into remaining, cost)` of each candidate.
+    candidates: Vec<(usize, f64)>,
+}
+
+/// Order a BGP's patterns, starting from the seed's bound flags.
+///
+/// With `options.optimize` and statistics, each step takes the cheapest
+/// pattern among those *connected* to the bindings so far — sharing a
+/// bound subject, object, or predicate variable, or having no variables
+/// at all — and falls back to every remaining pattern only when none
+/// connects (the first step, or a genuinely cartesian BGP). Ties keep
+/// source order, and the seed step keeps it within
+/// `SEED_REORDER_MARGIN`. Otherwise the steps follow source order,
+/// priced when statistics are given. Decisions depend only on the
+/// statistics and the bound flags, never on row contents.
+pub(crate) fn order_bgp<'p>(
+    graph: &Graph,
+    stats: Option<&GraphStats>,
+    patterns: &'p [TriplePlan],
+    seed_bound: &[bool],
+    options: PlanOptions,
+) -> BgpOrder<'p> {
+    let predicates: Vec<Predicate> = patterns
+        .iter()
+        .map(|tp| resolve_predicate(graph, tp))
+        .collect();
+    let costs = match stats {
+        Some(stats) => patterns
+            .iter()
+            .zip(&predicates)
+            .map(|(tp, p)| Cost::of(graph, stats, tp, *p))
+            .collect(),
+        None => Vec::new(),
+    };
+    BgpOrder {
+        patterns,
+        predicates,
+        costs,
+        remaining: (0..patterns.len()).collect(),
+        bound: seed_bound.to_vec(),
+        optimize: options.optimize,
+        rows: 1.0,
+        taken: 0,
+        candidates: Vec::with_capacity(patterns.len()),
+    }
+}
+
+impl BgpOrder<'_> {
+    fn connects(&self, pos: usize) -> bool {
+        let mut vars = pattern_vars(&self.patterns[pos]).peekable();
+        vars.peek().is_none() || vars.any(|v| self.bound.get(v).copied().unwrap_or(false))
     }
 
-    match &tp.path {
-        Path::Iri(iri) => {
-            let ps = graph
-                .term_id(&Term::iri(iri.clone()))
-                .and_then(|p| stats.predicate(p).cloned());
-            let Some(ps) = ps else {
-                // Absent predicate: free to run, proves the BGP empty.
-                return Estimate {
-                    rows: 0.0,
-                    cost: 0.0,
-                    index: Some(Graph::index_for(s_bound, true, o_bound)),
-                    direction: PathDirection::Forward,
-                };
-            };
-            let (rows, index) = match (s_bound, o_bound) {
-                (true, true) => (
-                    ps.count as f64
-                        / (ps.distinct_subjects.max(1) * ps.distinct_objects.max(1)) as f64,
-                    IndexChoice::Spo,
-                ),
-                (true, false) => (ps.fan_out(), IndexChoice::Spo),
-                (false, true) => (ps.fan_in(), IndexChoice::Pos),
-                (false, false) => (ps.count as f64, IndexChoice::Pos),
-            };
-            Estimate {
-                rows,
-                cost: rows + 1.0,
-                index: Some(index),
-                direction: PathDirection::Forward,
-            }
+    fn estimate(&self, pos: usize) -> Option<Estimate> {
+        self.costs
+            .get(pos)
+            .map(|c| c.price(&self.patterns[pos], &self.bound))
+    }
+}
+
+impl Iterator for BgpOrder<'_> {
+    type Item = BgpStep;
+
+    fn next(&mut self) -> Option<BgpStep> {
+        if self.remaining.is_empty() {
+            return None;
         }
-        Path::Var(_) => unreachable!("variable predicates carry path_var"),
-        path => {
-            let fan_f = path_fan(graph, stats, path, PathDirection::Forward);
-            let fan_b = path_fan(graph, stats, path, PathDirection::Backward);
-            let (rows, cost, direction) = match (s_bound, o_bound) {
-                // Reachability check: walk from the smaller frontier.
-                (true, true) => {
-                    let dir = if fan_f <= fan_b {
-                        PathDirection::Forward
-                    } else {
-                        PathDirection::Backward
-                    };
-                    (1.0, fan_f.min(fan_b) + 1.0, dir)
+        let pick = if self.optimize && !self.costs.is_empty() {
+            let any_connected = self.remaining.iter().any(|&p| self.connects(p));
+            self.candidates.clear();
+            for (i, &pos) in self.remaining.iter().enumerate() {
+                if !any_connected || self.connects(pos) {
+                    let cost = self.costs[pos].price(&self.patterns[pos], &self.bound).cost;
+                    self.candidates.push((i, cost));
                 }
-                (true, false) => (fan_f, fan_f + 1.0, PathDirection::Forward),
-                (false, true) => (fan_b, fan_b + 1.0, PathDirection::Backward),
-                (false, false) => {
-                    let src_f = path_sources(graph, stats, path, PathDirection::Forward);
-                    let src_b = path_sources(graph, stats, path, PathDirection::Backward);
-                    let cost_f = src_f * (fan_f + 1.0);
-                    let cost_b = src_b * (fan_b + 1.0);
-                    let dir = if cost_f <= cost_b {
-                        PathDirection::Forward
-                    } else {
-                        PathDirection::Backward
-                    };
-                    ((src_f * fan_f).min(src_b * fan_b), cost_f.min(cost_b), dir)
-                }
-            };
-            Estimate {
-                rows,
-                cost,
-                index: None,
-                direction,
             }
+            let margin = if self.taken == 0 {
+                SEED_REORDER_MARGIN
+            } else {
+                1.0
+            };
+            let cheapest = self
+                .candidates
+                .iter()
+                .map(|&(_, cost)| cost)
+                .fold(f64::INFINITY, f64::min);
+            self.candidates
+                .iter()
+                .find(|&&(_, cost)| cost <= cheapest * margin)
+                .map_or(0, |&(i, _)| i)
+        } else {
+            0
+        };
+        let estimate = self.estimate(self.remaining[pick]);
+        let source_pos = self.remaining.remove(pick);
+        let cartesian = self.taken > 0 && !self.connects(source_pos);
+        let step = BgpStep {
+            source_pos,
+            predicate: self.predicates[source_pos],
+            estimate,
+            input_rows: self.rows,
+            reordered: pick != 0,
+            cartesian,
+        };
+        if let Some(est) = &estimate {
+            self.rows *= est.rows;
+        }
+        for v in pattern_vars(&self.patterns[source_pos]) {
+            self.bound[v] = true;
+        }
+        self.taken += 1;
+        Some(step)
+    }
+}
+
+/// A complex path's shape in both directions: the average nodes one
+/// application reaches from a single start node (`fan_*`), and the
+/// candidate start nodes a fully-unbound pattern must visit (`src_*`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PathShape {
+    fan_f: f64,
+    fan_b: f64,
+    src_f: f64,
+    src_b: f64,
+}
+
+impl PathShape {
+    /// The same shape walked the other way.
+    fn reversed(self) -> PathShape {
+        PathShape {
+            fan_f: self.fan_b,
+            fan_b: self.fan_f,
+            src_f: self.src_b,
+            src_b: self.src_f,
         }
     }
 }
 
-/// Average nodes reached by one application of `path` from a single start
-/// node, in the given direction. Composes structurally: sequences
-/// multiply, alternatives sum, closures sum powers of the inner fan
-/// (depth-capped and bounded by the graph's term count).
-fn path_fan(graph: &Graph, stats: &GraphStats, path: &Path, dir: PathDirection) -> f64 {
+/// Compose a path's [`PathShape`] structurally, one term lookup per IRI
+/// leaf. Sequences multiply fans and start from their first (forward) or
+/// last (backward) step. Alternatives sum their start nodes and average
+/// their fans weighted by them, as if no node starts both branches, so a
+/// node with a single stream edge is not priced as having one per branch.
+/// Closures sum powers of the inner fan over as many levels as a balanced
+/// tree of the graph's size is deep (`log2` of its term count), bounded by
+/// that term count. Start-node counts are bounded by it too.
+fn path_shape(graph: &Graph, stats: &GraphStats, path: &Path) -> PathShape {
+    let cap = (stats.terms as f64).max(1.0);
     match path {
-        Path::Iri(iri) => graph
+        Path::Iri(iri) => match graph
             .term_id(&Term::iri(iri.clone()))
             .and_then(|p| stats.predicate(p))
-            .map_or(0.0, |ps| match dir {
-                PathDirection::Forward => ps.fan_out(),
-                PathDirection::Backward => ps.fan_in(),
-            }),
-        Path::Var(_) => stats.triples as f64,
-        Path::Inverse(p) => path_fan(graph, stats, p, dir.flip()),
-        Path::Sequence(a, b) => path_fan(graph, stats, a, dir) * path_fan(graph, stats, b, dir),
-        Path::Alternative(a, b) => path_fan(graph, stats, a, dir) + path_fan(graph, stats, b, dir),
-        Path::ZeroOrOne(p) => 1.0 + path_fan(graph, stats, p, dir),
+        {
+            Some(ps) => PathShape {
+                fan_f: ps.fan_out(),
+                fan_b: ps.fan_in(),
+                src_f: (ps.distinct_subjects as f64).min(cap),
+                src_b: (ps.distinct_objects as f64).min(cap),
+            },
+            None => PathShape {
+                fan_f: 0.0,
+                fan_b: 0.0,
+                src_f: 0.0,
+                src_b: 0.0,
+            },
+        },
+        Path::Var(_) => PathShape {
+            fan_f: stats.triples as f64,
+            fan_b: stats.triples as f64,
+            src_f: cap,
+            src_b: cap,
+        },
+        Path::Inverse(p) => path_shape(graph, stats, p).reversed(),
+        Path::Sequence(a, b) => {
+            let (a, b) = (path_shape(graph, stats, a), path_shape(graph, stats, b));
+            PathShape {
+                fan_f: a.fan_f * b.fan_f,
+                fan_b: a.fan_b * b.fan_b,
+                src_f: a.src_f,
+                src_b: b.src_b,
+            }
+        }
+        Path::Alternative(a, b) => {
+            let (a, b) = (path_shape(graph, stats, a), path_shape(graph, stats, b));
+            let weighted = |fa: f64, sa: f64, fb: f64, sb: f64| {
+                if sa + sb == 0.0 {
+                    0.0
+                } else {
+                    (fa * sa + fb * sb) / (sa + sb)
+                }
+            };
+            PathShape {
+                fan_f: weighted(a.fan_f, a.src_f, b.fan_f, b.src_f),
+                fan_b: weighted(a.fan_b, a.src_b, b.fan_b, b.src_b),
+                src_f: (a.src_f + b.src_f).min(cap),
+                src_b: (a.src_b + b.src_b).min(cap),
+            }
+        }
+        // Zero-length-capable paths can start anywhere, but the useful
+        // (triple-touching) starts are the inner path's.
+        Path::ZeroOrOne(p) => {
+            let inner = path_shape(graph, stats, p);
+            PathShape {
+                fan_f: 1.0 + inner.fan_f,
+                fan_b: 1.0 + inner.fan_b,
+                ..inner
+            }
+        }
         Path::ZeroOrMore(p) | Path::OneOrMore(p) => {
-            let f = path_fan(graph, stats, p, dir);
-            let cap = (stats.terms as f64).max(1.0);
-            // Sum the first few closure depths; the cap keeps a fan > 1
-            // from exploding past "every node reachable".
+            let inner = path_shape(graph, stats, p);
+            // Averaged over start nodes, a closure reaches as many nodes
+            // forward as backward (each reachable pair counts once from
+            // each end), so both directions take the lower inner fan:
+            // shared leaves such as base objects inflate the fan in one
+            // direction only.
+            let f = inner.fan_f.min(inner.fan_b);
+            let cap = cap.max(2.0);
             let mut total = 0.0;
             let mut power = 1.0;
-            for _ in 0..3 {
+            for _ in 0..cap.log2().ceil() as usize {
                 power *= f;
                 total += power;
                 if total >= cap {
                     break;
                 }
             }
-            let base = total.min(cap);
-            if matches!(path, Path::ZeroOrMore(_)) {
-                1.0 + base
-            } else {
-                base
+            let reach = total.min(cap)
+                + if matches!(path, Path::ZeroOrMore(_)) {
+                    1.0
+                } else {
+                    0.0
+                };
+            PathShape {
+                fan_f: reach,
+                fan_b: reach,
+                ..inner
             }
         }
     }
-}
-
-/// Estimated candidate start nodes for a fully-unbound path pattern, in
-/// the given direction — what a closure seeded from that side must visit.
-fn path_sources(graph: &Graph, stats: &GraphStats, path: &Path, dir: PathDirection) -> f64 {
-    let cap = stats.terms as f64;
-    let raw = match path {
-        Path::Iri(iri) => graph
-            .term_id(&Term::iri(iri.clone()))
-            .and_then(|p| stats.predicate(p))
-            .map_or(0.0, |ps| match dir {
-                PathDirection::Forward => ps.distinct_subjects as f64,
-                PathDirection::Backward => ps.distinct_objects as f64,
-            }),
-        Path::Var(_) => cap,
-        Path::Inverse(p) => path_sources(graph, stats, p, dir.flip()),
-        Path::Sequence(a, b) => match dir {
-            PathDirection::Forward => path_sources(graph, stats, a, dir),
-            PathDirection::Backward => path_sources(graph, stats, b, dir),
-        },
-        Path::Alternative(a, b) => {
-            path_sources(graph, stats, a, dir) + path_sources(graph, stats, b, dir)
-        }
-        // Zero-length-capable paths can start anywhere, but the useful
-        // (triple-touching) starts are the inner path's.
-        Path::ZeroOrOne(p) | Path::ZeroOrMore(p) | Path::OneOrMore(p) => {
-            path_sources(graph, stats, p, dir)
-        }
-    };
-    raw.min(cap)
 }
 
 /// Structural (graph-free) estimate of a recursive path's per-step
@@ -374,10 +707,13 @@ pub struct PlanStep {
     pub index: Option<IndexChoice>,
     /// Direction chosen for property-path patterns.
     pub direction: Option<PathDirection>,
-    /// Estimated rows at planning time.
+    /// Estimated rows the step produces (input rows × per-binding rows).
     pub estimated_rows: f64,
     /// True when the step runs out of source order.
     pub reordered: bool,
+    /// True when the step shares no bound variable with the rows before
+    /// it (a cross product).
+    pub cartesian: bool,
 }
 
 /// An explainable physical plan: the evaluator's ordering and direction
@@ -418,247 +754,153 @@ fn render_path(path: &Path) -> String {
     match path {
         Path::Iri(iri) => format!("<{iri}>"),
         Path::Var(v) => format!("?{v}"),
-        Path::Inverse(p) => format!("^{}", render_path(p)),
+        Path::Inverse(p) => format!("^{}", render_operand(p)),
         Path::Sequence(a, b) => format!("{}/{}", render_path(a), render_path(b)),
         Path::Alternative(a, b) => format!("({}|{})", render_path(a), render_path(b)),
-        Path::ZeroOrMore(p) => format!("{}*", render_path(p)),
-        Path::OneOrMore(p) => format!("{}+", render_path(p)),
-        Path::ZeroOrOne(p) => format!("{}?", render_path(p)),
+        Path::ZeroOrMore(p) => format!("{}*", render_operand(p)),
+        Path::OneOrMore(p) => format!("{}+", render_operand(p)),
+        Path::ZeroOrOne(p) => format!("{}?", render_operand(p)),
     }
 }
 
-/// Explain a compiled query against a graph: replay the greedy ordering
-/// with bound-variable propagation (decisions depend only on statistics
-/// and bound flags, so this is exactly what evaluation will do) and render
-/// the result.
+/// Render the operand of `^` or a closure: a sequence binds looser than
+/// both, so it needs parentheses.
+fn render_operand(path: &Path) -> String {
+    match path {
+        Path::Sequence(..) => format!("({})", render_path(path)),
+        _ => render_path(path),
+    }
+}
+
+/// Explain a compiled query against a graph: render the steps
+/// `order_bgp` yields for every BGP — the same routine `eval_bgp`
+/// executes — without evaluating any rows.
 pub fn explain_plan(graph: &Graph, plan: &Plan, options: PlanOptions) -> PhysicalPlan {
     let stats = graph.stats();
-    let mut steps = Vec::new();
-    let mut text = String::new();
-    let seed_bound = vec![false; plan.vars.len()];
-    walk(
+    let mut explainer = Explainer {
         graph,
-        &stats,
+        stats: &stats,
         plan,
-        &plan.root,
         options,
-        &seed_bound,
-        0,
-        &mut steps,
-        &mut text,
-    );
+        // Every BGP is evaluated from the all-unbound top-level seed (each
+        // Join branch starts from the seed too).
+        seed_bound: vec![false; plan.vars.len()],
+        steps: Vec::new(),
+        text: String::new(),
+    };
+    explainer.walk(&plan.root, 0);
     PhysicalPlan {
-        steps,
-        rendered: text,
+        steps: explainer.steps,
+        rendered: explainer.text,
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal recursion carries the full walk state
-fn walk(
-    graph: &Graph,
-    stats: &Arc<GraphStats>,
-    plan: &Plan,
-    node: &Node,
+/// The state of one [`explain_plan`] walk over the pattern tree.
+struct Explainer<'a> {
+    graph: &'a Graph,
+    stats: &'a GraphStats,
+    plan: &'a Plan,
     options: PlanOptions,
-    seed_bound: &[bool],
-    depth: usize,
-    steps: &mut Vec<PlanStep>,
-    text: &mut String,
-) {
-    use std::fmt::Write;
-    let indent = "  ".repeat(depth);
-    match node {
-        Node::Unit => {
-            let _ = writeln!(text, "{indent}unit");
+    seed_bound: Vec<bool>,
+    steps: Vec<PlanStep>,
+    text: String,
+}
+
+impl Explainer<'_> {
+    fn walk(&mut self, node: &Node, depth: usize) {
+        use std::fmt::Write;
+        let indent = "  ".repeat(depth);
+        let (label, children): (String, Vec<&Node>) = match node {
+            Node::Unit => ("unit".into(), vec![]),
+            Node::Bgp(patterns) => {
+                self.bgp(patterns, &indent);
+                return;
+            }
+            Node::Join(a, b) => ("join".into(), vec![a, b]),
+            Node::LeftJoin(a, b) => ("left-join (optional)".into(), vec![a, b]),
+            Node::Union(a, b) => ("union".into(), vec![a, b]),
+            Node::Filter(_, inner) => ("filter".into(), vec![inner]),
+            Node::Extend(inner, slot, _) => (
+                format!(
+                    "bind ?{}",
+                    self.plan.vars.get(*slot).map(String::as_str).unwrap_or("_")
+                ),
+                vec![inner],
+            ),
+        };
+        let _ = writeln!(self.text, "{indent}{label}");
+        for child in children {
+            self.walk(child, depth + 1);
         }
-        Node::Bgp(patterns) => {
-            let _ = writeln!(
-                text,
-                "{indent}bgp ({} pattern{}, {})",
-                patterns.len(),
-                if patterns.len() == 1 { "" } else { "s" },
-                if options.optimize {
-                    "greedy order"
-                } else {
-                    "source order"
-                },
+    }
+
+    fn bgp(&mut self, patterns: &[TriplePlan], indent: &str) {
+        use std::fmt::Write;
+        let _ = writeln!(
+            self.text,
+            "{indent}bgp ({} pattern{}, {})",
+            patterns.len(),
+            if patterns.len() == 1 { "" } else { "s" },
+            if self.options.optimize {
+                "greedy order"
+            } else {
+                "source order"
+            },
+        );
+        let order = order_bgp(
+            self.graph,
+            Some(self.stats),
+            patterns,
+            &self.seed_bound,
+            self.options,
+        );
+        for step in order {
+            let tp = &patterns[step.source_pos];
+            let est = step.estimate.expect("explain prices with statistics");
+            let pattern = format!(
+                "{} {} {}",
+                render_node(self.plan, &tp.subject),
+                render_path(&tp.path),
+                render_node(self.plan, &tp.object),
             );
-            // Replay the evaluator's greedy loop: each Join branch is
-            // evaluated from the seed, so every BGP starts from the seed's
-            // bound flags — exactly `eval_bgp`'s initialization.
-            let mut bound = seed_bound.to_vec();
-            let mut remaining: Vec<(usize, &TriplePlan)> = patterns.iter().enumerate().collect();
-            while !remaining.is_empty() {
-                let (pick, est) = if options.optimize {
-                    let mut best = 0;
-                    let mut best_est = estimate_pattern(graph, stats, remaining[0].1, &bound);
-                    for (i, (_, tp)) in remaining.iter().enumerate().skip(1) {
-                        let e = estimate_pattern(graph, stats, tp, &bound);
-                        if e.cost < best_est.cost {
-                            best = i;
-                            best_est = e;
+            let _ = write!(
+                self.text,
+                "{indent}  {} {pattern}  est={:.1} (x{:.2})",
+                self.steps.len() + 1,
+                step.estimated_rows(),
+                est.rows
+            );
+            match est.index {
+                Some(ix) => {
+                    let _ = write!(self.text, " index={ix:?}");
+                }
+                None => {
+                    let _ = write!(
+                        self.text,
+                        " path={}",
+                        match est.direction {
+                            PathDirection::Forward => "forward",
+                            PathDirection::Backward => "backward",
                         }
-                    }
-                    (best, best_est)
-                } else {
-                    (0, estimate_pattern(graph, stats, remaining[0].1, &bound))
-                };
-                let (source_pos, tp) = remaining.remove(pick);
-                let reordered = options.optimize && pick != 0;
-                let direction = est.index.is_none().then_some(est.direction);
-                let pattern = format!(
-                    "{} {} {}",
-                    render_node(plan, &tp.subject),
-                    render_path(&tp.path),
-                    render_node(plan, &tp.object),
-                );
-                let _ = write!(
-                    text,
-                    "{indent}  {} {pattern}  est={:.1}",
-                    steps.len() + 1,
-                    est.rows
-                );
-                match est.index {
-                    Some(ix) => {
-                        let _ = write!(text, " index={ix:?}");
-                    }
-                    None => {
-                        let _ = write!(
-                            text,
-                            " path={}",
-                            match est.direction {
-                                PathDirection::Forward => "forward",
-                                PathDirection::Backward => "backward",
-                            }
-                        );
-                    }
-                }
-                if reordered {
-                    let _ = write!(text, " (reordered from #{})", source_pos + 1);
-                }
-                let _ = writeln!(text);
-                steps.push(PlanStep {
-                    source_pos,
-                    pattern,
-                    index: est.index,
-                    direction,
-                    estimated_rows: est.rows,
-                    reordered,
-                });
-                if let PlanNodePattern::Var(v) = &tp.subject {
-                    bound[*v] = true;
-                }
-                if let PlanNodePattern::Var(v) = &tp.object {
-                    bound[*v] = true;
+                    );
                 }
             }
-        }
-        Node::Join(a, b) => {
-            let _ = writeln!(text, "{indent}join");
-            walk(
-                graph,
-                stats,
-                plan,
-                a,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-            walk(
-                graph,
-                stats,
-                plan,
-                b,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-        }
-        Node::LeftJoin(a, b) => {
-            let _ = writeln!(text, "{indent}left-join (optional)");
-            walk(
-                graph,
-                stats,
-                plan,
-                a,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-            walk(
-                graph,
-                stats,
-                plan,
-                b,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-        }
-        Node::Union(a, b) => {
-            let _ = writeln!(text, "{indent}union");
-            walk(
-                graph,
-                stats,
-                plan,
-                a,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-            walk(
-                graph,
-                stats,
-                plan,
-                b,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-        }
-        Node::Filter(_, inner) => {
-            let _ = writeln!(text, "{indent}filter");
-            walk(
-                graph,
-                stats,
-                plan,
-                inner,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
-        }
-        Node::Extend(inner, slot, _) => {
-            let _ = writeln!(
-                text,
-                "{indent}bind ?{}",
-                plan.vars.get(*slot).map(String::as_str).unwrap_or("_")
-            );
-            walk(
-                graph,
-                stats,
-                plan,
-                inner,
-                options,
-                seed_bound,
-                depth + 1,
-                steps,
-                text,
-            );
+            if step.reordered {
+                let _ = write!(self.text, " (reordered from #{})", step.source_pos + 1);
+            }
+            if step.cartesian {
+                let _ = write!(self.text, " cartesian");
+            }
+            let _ = writeln!(self.text);
+            self.steps.push(PlanStep {
+                source_pos: step.source_pos,
+                pattern,
+                index: est.index,
+                direction: est.index.is_none().then_some(est.direction),
+                estimated_rows: step.estimated_rows(),
+                reordered: step.reordered,
+                cartesian: step.cartesian,
+            });
         }
     }
 }
@@ -793,5 +1035,96 @@ mod tests {
         assert!(unopt.steps.iter().all(|s| !s.reordered));
         let order: Vec<usize> = unopt.steps.iter().map(|s| s.source_pos).collect();
         assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn connecting_path_runs_before_cheaper_disconnected_scan() {
+        let g = fig1_graph();
+        // The mqt shape: after the anchor binds ?agg, the base-object scan
+        // (one triple) is cheaper than the closure, but it shares no bound
+        // variable — running it next would be a cross product.
+        let plan = compiled(&format!(
+            "{PFX}SELECT ?agg ?base WHERE {{
+                ?agg p:hasPopType \"FETCH\" .
+                ?j p:isABaseObj ?base .
+                ?agg p:hasInputStream+ ?j .
+            }}"
+        ));
+        let Node::Bgp(tps) = &plan.root else { panic!() };
+        let stats = g.stats();
+        let mut bound = vec![false; plan.vars.len()];
+        if let PlanNodePattern::Var(v) = &tps[0].subject {
+            bound[*v] = true;
+        }
+        let scan = estimate_pattern(&g, &stats, &tps[1], &bound);
+        let path = estimate_pattern(&g, &stats, &tps[2], &bound);
+        assert!(scan.cost < path.cost, "{scan:?} !< {path:?}");
+
+        let physical = explain_plan(&g, &plan, PlanOptions::default());
+        let order: Vec<usize> = physical.steps.iter().map(|s| s.source_pos).collect();
+        assert_eq!(order, vec![0, 2, 1], "{}", physical.render());
+        assert!(physical.steps.iter().all(|s| !s.cartesian));
+        assert!(!physical.render().contains("cartesian"));
+    }
+
+    #[test]
+    fn disconnected_bgp_marks_its_cartesian_step() {
+        let g = fig1_graph();
+        let plan = compiled(&format!(
+            "{PFX}SELECT ?a ?b WHERE {{
+                ?a p:hasPopType \"FETCH\" .
+                ?b p:isABaseObj ?base .
+            }}"
+        ));
+        for options in [
+            PlanOptions::default(),
+            PlanOptions::default().optimize(false),
+        ] {
+            let physical = explain_plan(&g, &plan, options);
+            let marks: Vec<bool> = physical.steps.iter().map(|s| s.cartesian).collect();
+            assert_eq!(marks, vec![false, true], "{}", physical.render());
+            assert!(physical.render().contains(" cartesian"), "{physical}");
+        }
+    }
+
+    #[test]
+    fn constants_are_counted_exactly_and_absent_ones_prove_emptiness() {
+        let g = fig1_graph();
+        let stats = g.stats();
+        let plan = compiled(&format!(
+            "{PFX}SELECT ?a WHERE {{
+                ?a p:hasPopType \"TBSCAN\" .
+                ?a p:hasPopType \"ZZJOIN\" .
+                ?a p:hasOuterInputStream ?b .
+            }}"
+        ));
+        let Node::Bgp(tps) = &plan.root else { panic!() };
+        let free = vec![false; plan.vars.len()];
+        // One TBSCAN in the graph, whatever the average fan-in (4 / 4).
+        assert_eq!(estimate_pattern(&g, &stats, &tps[0], &free).rows, 1.0);
+        // A constant the graph never mentions: free, and empty.
+        let absent = estimate_pattern(&g, &stats, &tps[1], &free);
+        assert_eq!((absent.rows, absent.cost), (0.0, 0.0));
+        // With ?a bound the constant keeps its share of the subjects.
+        let mut a_bound = free.clone();
+        a_bound[0] = true;
+        assert_eq!(estimate_pattern(&g, &stats, &tps[0], &a_bound).rows, 0.25);
+        // The absent constant runs first and the evaluator stops there.
+        let physical = explain_plan(&g, &plan, PlanOptions::default());
+        assert_eq!(physical.steps[0].source_pos, 1, "{physical}");
+    }
+
+    #[test]
+    fn closures_render_with_their_sequence_grouped() {
+        let plan = compiled(&format!(
+            "{PFX}SELECT ?a WHERE {{ ?a (p:hasInputStream/p:hasInputStream)+ ?b . }}"
+        ));
+        let physical = explain_plan(&fig1_graph(), &plan, PlanOptions::default());
+        assert!(
+            physical.steps[0].pattern.contains(
+                "(<http://optimatch/pred#hasInputStream>/<http://optimatch/pred#hasInputStream>)+"
+            ),
+            "{physical}"
+        );
     }
 }

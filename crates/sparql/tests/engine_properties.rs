@@ -135,7 +135,7 @@ proptest! {
     }
 
     /// Join order independence: shuffled triple patterns give identical
-    /// result sets (the greedy reorderer must not change semantics).
+    /// result sets (the planner's reordering must not change semantics).
     #[test]
     fn pattern_order_does_not_change_results(spec in arb_tree(10)) {
         let g = build_graph(&spec);

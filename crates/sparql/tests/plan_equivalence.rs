@@ -1,5 +1,5 @@
 //! Property test: the planner is observational. For randomly generated
-//! graphs and queries, optimized evaluation (greedy reordering + guided
+//! graphs and queries, optimized evaluation (connectivity-first reordering + guided
 //! path directions) must produce exactly the same multiset of rows as the
 //! source-order oracle. Seeded xorshift generation keeps every case
 //! reproducible from its printed seed.
