@@ -6,7 +6,9 @@
 //! deserializes the already-transformed graphs from the checksummed
 //! repository. Both must scan to byte-identical reports; the JSON written
 //! to `BENCH_repo.json` records the load timings, the one-time build
-//! cost, the file size, and the warm-start speedup.
+//! cost, the file size, and the warm-start speedup. The cold and warm
+//! times are printed next to those of the `BENCH_repo.json` committed in
+//! the checkout, read before anything is written.
 //!
 //! ```text
 //! repo_bench [--quick] [--out FILE.json]
@@ -32,6 +34,35 @@ fn time_load(reps: usize, mut load: impl FnMut() -> OptImatch) -> (Duration, Opt
     (best, last.expect("at least one rep"))
 }
 
+/// The `BENCH_repo.json` at the root of the checkout this binary was
+/// built from: the last committed trajectory point.
+const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repo.json");
+
+/// `(qeps, cold_secs, warm_secs)` of the committed report, if readable.
+fn committed_times() -> Option<(u64, f64, f64)> {
+    let text = std::fs::read_to_string(COMMITTED).ok()?;
+    let v: Value = serde_json::from_str(&text).ok()?;
+    Some((
+        v.get("qeps")?.as_u64()?,
+        v.get("cold_secs")?.as_f64()?,
+        v.get("warm_secs")?.as_f64()?,
+    ))
+}
+
+/// ` [committed: …]` suffix comparing a time with the committed one; the
+/// ratio is printed only when both runs loaded the same number of QEPs.
+fn versus(committed: Option<(u64, f64)>, n: usize, now: Duration) -> String {
+    match committed {
+        Some((qeps, secs)) if qeps == n as u64 => format!(
+            "  [committed: {:.1} ms, now {:.2}x of it]",
+            secs * 1e3,
+            now.as_secs_f64() / secs
+        ),
+        Some((qeps, secs)) => format!("  [committed: {:.1} ms on {qeps} QEPs]", secs * 1e3),
+        None => "  [no committed BENCH_repo.json]".to_string(),
+    }
+}
+
 fn json_f64(x: f64) -> Value {
     Value::Number(serde_json::Number::Float(x))
 }
@@ -52,6 +83,7 @@ fn main() {
 
     let n = if quick { 60 } else { 400 };
     let reps = if quick { 2 } else { 5 };
+    let committed = committed_times();
 
     // Materialize the workload as plan files, the cold path's input.
     let dir = std::env::temp_dir().join(format!("optimatch-repo-bench-{}", std::process::id()));
@@ -70,8 +102,9 @@ fn main() {
             .session
     });
     println!(
-        "cold from_dir:  {cold_time:?}  ({:.1} QEPs/s)",
-        n as f64 / cold_time.as_secs_f64()
+        "cold from_dir:  {cold_time:?}  ({:.1} QEPs/s){}",
+        n as f64 / cold_time.as_secs_f64(),
+        versus(committed.map(|(q, cold, _)| (q, cold)), n, cold_time)
     );
 
     let build_start = Instant::now();
@@ -98,8 +131,9 @@ fn main() {
             .session
     });
     println!(
-        "warm open_repo: {warm_time:?}  ({:.1} QEPs/s)",
-        n as f64 / warm_time.as_secs_f64()
+        "warm open_repo: {warm_time:?}  ({:.1} QEPs/s){}",
+        n as f64 / warm_time.as_secs_f64(),
+        versus(committed.map(|(q, _, warm)| (q, warm)), n, warm_time)
     );
 
     // The warm session must be indistinguishable from the cold one:

@@ -13,9 +13,11 @@
 //! example — `hasTotalCostIncrease`, the operator's cumulative cost minus
 //! its operator inputs' — is emitted for every operator.
 
+use std::collections::HashMap;
+
 use optimatch_qep::{InputSource, JoinModifier, PredicateKind, Qep, StreamKind};
 use optimatch_rdf::numeric::format_double;
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, Term, TermId};
 
 use crate::features::FeatureSummary;
 use crate::vocab::{self, names};
@@ -73,93 +75,87 @@ fn typed_predicate_name(kind: PredicateKind) -> &'static str {
     }
 }
 
+/// Builds one plan's graph: predicate IRIs are interned once per graph and
+/// every triple is pushed as ids. Terms are interned subject, predicate,
+/// object per triple, first use wins — so ids (and the repository bytes
+/// they become) do not depend on the caching.
+struct Emitter {
+    graph: GraphBuilder,
+    preds: HashMap<String, TermId>,
+}
+
+impl Emitter {
+    /// The id of the predicate with local name `local`.
+    fn pred(&mut self, local: &str) -> TermId {
+        if let Some(&id) = self.preds.get(local) {
+            return id;
+        }
+        let id = self.graph.intern(vocab::pred(local));
+        self.preds.insert(local.to_string(), id);
+        id
+    }
+
+    /// Assert `(subject, local, object)`.
+    fn emit(&mut self, subject: TermId, local: &str, object: Term) {
+        let p = self.pred(local);
+        let o = self.graph.intern(object);
+        self.graph.insert_ids([subject, p, o]);
+    }
+}
+
 /// Transform a QEP into its RDF graph (Algorithm 1).
 ///
 /// Numeric values are asserted as plain literals in the plan-text
 /// spelling (`"4043.0"`, `"1.93187e+06"`), exactly as the paper's
 /// Figure 2 shows; the SPARQL layer coerces them numerically in FILTERs.
 pub fn transform_qep(qep: &Qep) -> Graph {
-    let mut g = Graph::new();
+    let mut g = Emitter {
+        graph: GraphBuilder::new(),
+        preds: HashMap::new(),
+    };
+    let lit = |v: f64| Term::lit_str(format_double(v));
+    let mut arg_name = String::new();
 
     // Operators and their scalar properties.
     for op in qep.ops.values() {
-        let subject = vocab::pop(op.id);
-        let lit = |v: f64| Term::lit_str(format_double(v));
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_POP_TYPE),
-            Term::lit_str(op.op_type.mnemonic()),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_JOIN_TYPE),
+        let s = g.graph.intern(vocab::pop(op.id));
+        g.emit(s, names::HAS_POP_TYPE, Term::lit_str(op.op_type.mnemonic()));
+        g.emit(
+            s,
+            names::HAS_JOIN_TYPE,
             Term::lit_str(join_type_value(op.modifier)),
         );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_OPERATOR_NUMBER),
+        g.emit(
+            s,
+            names::HAS_OPERATOR_NUMBER,
             Term::lit_integer(i64::from(op.id)),
         );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_ESTIMATE_CARDINALITY),
-            lit(op.cardinality),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_TOTAL_COST),
-            lit(op.total_cost),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_IO_COST),
-            lit(op.io_cost),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_CPU_COST),
-            lit(op.cpu_cost),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_FIRST_ROW_COST),
-            lit(op.first_row_cost),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_BUFFERS),
-            lit(op.buffers),
-        );
+        g.emit(s, names::HAS_ESTIMATE_CARDINALITY, lit(op.cardinality));
+        g.emit(s, names::HAS_TOTAL_COST, lit(op.total_cost));
+        g.emit(s, names::HAS_IO_COST, lit(op.io_cost));
+        g.emit(s, names::HAS_CPU_COST, lit(op.cpu_cost));
+        g.emit(s, names::HAS_FIRST_ROW_COST, lit(op.first_row_cost));
+        g.emit(s, names::HAS_BUFFERS, lit(op.buffers));
         // Derived property (paper §2.1): cost of this operator alone.
         if let Some(increase) = qep.cost_increase(op.id) {
-            g.insert(
-                subject.clone(),
-                vocab::pred(names::HAS_TOTAL_COST_INCREASE),
-                lit(increase),
-            );
+            g.emit(s, names::HAS_TOTAL_COST_INCREASE, lit(increase));
         }
         // Operator-specific arguments become their own predicates.
         for (key, value) in &op.arguments {
-            let sanitized: String = key
-                .chars()
-                .filter(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            g.insert(
-                subject.clone(),
-                vocab::pred(&format!("{}{}", names::ARG_PREFIX, sanitized)),
-                Term::lit_str(value.clone()),
+            arg_name.clear();
+            arg_name.push_str(names::ARG_PREFIX);
+            arg_name.extend(
+                key.chars()
+                    .filter(|c| c.is_ascii_alphanumeric() || *c == '_'),
             );
+            g.emit(s, &arg_name, Term::lit_str(value.clone()));
         }
         // Applied predicates: one generic + one kind-specific assertion.
         for p in &op.predicates {
-            g.insert(
-                subject.clone(),
-                vocab::pred(names::HAS_PREDICATE),
-                Term::lit_str(p.text.clone()),
-            );
-            g.insert(
-                subject.clone(),
-                vocab::pred(typed_predicate_name(p.kind)),
+            g.emit(s, names::HAS_PREDICATE, Term::lit_str(p.text.clone()));
+            g.emit(
+                s,
+                typed_predicate_name(p.kind),
                 Term::lit_str(p.text.clone()),
             );
         }
@@ -167,38 +163,14 @@ pub fn transform_qep(qep: &Qep) -> Graph {
 
     // Base objects referenced by streams.
     for obj in qep.base_objects.values() {
-        let subject = vocab::object(&obj.qualified_name());
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::IS_A_BASE_OBJ),
-            Term::lit_str(obj.qualified_name()),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_OBJECT_TYPE),
-            Term::lit_str(obj.kind.label()),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_SCHEMA_NAME),
-            Term::lit_str(obj.schema.clone()),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_TABLE_NAME),
-            Term::lit_str(obj.name.clone()),
-        );
-        g.insert(
-            subject.clone(),
-            vocab::pred(names::HAS_ESTIMATE_CARDINALITY),
-            Term::lit_str(format_double(obj.cardinality)),
-        );
+        let s = g.graph.intern(vocab::object(&obj.qualified_name()));
+        g.emit(s, names::IS_A_BASE_OBJ, Term::lit_str(obj.qualified_name()));
+        g.emit(s, names::HAS_OBJECT_TYPE, Term::lit_str(obj.kind.label()));
+        g.emit(s, names::HAS_SCHEMA_NAME, Term::lit_str(obj.schema.clone()));
+        g.emit(s, names::HAS_TABLE_NAME, Term::lit_str(obj.name.clone()));
+        g.emit(s, names::HAS_ESTIMATE_CARDINALITY, lit(obj.cardinality));
         for col in &obj.columns {
-            g.insert(
-                subject.clone(),
-                vocab::pred(names::HAS_COLUMN),
-                Term::lit_str(col.clone()),
-            );
+            g.emit(s, names::HAS_COLUMN, Term::lit_str(col.clone()));
         }
     }
 
@@ -206,15 +178,15 @@ pub fn transform_qep(qep: &Qep) -> Graph {
     // hasOutputStream back edges (child → bnode → parent), as in Fig 6.
     let mut edge_counter = 0usize;
     for op in qep.ops.values() {
-        let parent = vocab::pop(op.id);
+        // Already interned: every operator is a subject above.
+        let parent = g.graph.intern(vocab::pop(op.id));
         for stream in &op.inputs {
-            let child = match &stream.source {
-                InputSource::Op(id) => vocab::pop(*id),
-                InputSource::Object(name) => vocab::object(name),
-            };
-            let child_label = match &stream.source {
-                InputSource::Op(id) => format!("pop{id}"),
-                InputSource::Object(name) => format!("obj_{}", name.replace('.', "_")),
+            let (child, child_label) = match &stream.source {
+                InputSource::Op(id) => (vocab::pop(*id), format!("pop{id}")),
+                InputSource::Object(name) => (
+                    vocab::object(name),
+                    format!("obj_{}", name.replace('.', "_")),
+                ),
             };
             // One blank node per *edge*: a subtree consumed twice by the
             // same parent still gets two distinct nodes.
@@ -223,27 +195,22 @@ pub fn transform_qep(qep: &Qep) -> Graph {
                 "bnodeOf{}_to_pop{}_e{}",
                 child_label, op.id, edge_counter
             ));
-            let p = vocab::pred(stream_predicate(stream.kind));
-            g.insert(parent.clone(), p.clone(), bnode.clone());
-            g.insert(bnode.clone(), p, child.clone());
-            g.insert(
-                child.clone(),
-                vocab::pred(names::HAS_OUTPUT_STREAM),
-                bnode.clone(),
-            );
-            g.insert(
-                bnode.clone(),
-                vocab::pred(names::HAS_OUTPUT_STREAM),
-                parent.clone(),
-            );
-            g.insert(
+            let p = g.pred(stream_predicate(stream.kind));
+            let bnode = g.graph.intern(bnode);
+            g.graph.insert_ids([parent, p, bnode]);
+            let child = g.graph.intern(child);
+            g.graph.insert_ids([bnode, p, child]);
+            let out = g.pred(names::HAS_OUTPUT_STREAM);
+            g.graph.insert_ids([child, out, bnode]);
+            g.graph.insert_ids([bnode, out, parent]);
+            g.emit(
                 bnode,
-                vocab::pred(names::HAS_STREAM_CARDINALITY),
-                Term::lit_str(format_double(stream.estimated_rows)),
+                names::HAS_STREAM_CARDINALITY,
+                lit(stream.estimated_rows),
             );
         }
     }
-    g
+    g.graph.freeze()
 }
 
 /// Transform a whole workload (the batch loop of Algorithm 1).

@@ -1,13 +1,15 @@
 //! The in-memory triple store.
 //!
-//! A [`Graph`] keeps every triple in three B-tree indexes — SPO, POS, and
-//! OSP — so that any triple pattern with at least one bound position resolves
-//! to a contiguous range scan. This is the same indexing discipline RDF
-//! stores like Jena TDB use, scaled down to the per-QEP graphs OptImatch
+//! Graphs are built once and then only read, so the store has two halves.
+//! A [`GraphBuilder`] interns terms and appends id triples to a plain
+//! vector; [`GraphBuilder::freeze`] sorts that vector into three flat
+//! permutations — SPO, POS and OSP — and returns a read-only [`Graph`].
+//! Any triple pattern with at least one bound position then resolves to a
+//! contiguous slice of one permutation, found by binary search. This is
+//! the indexing discipline of RDF stores like Jena TDB and of read-only
+//! snapshot stores generally, scaled down to the per-QEP graphs OptImatch
 //! works with (hundreds to a few thousand triples each).
 
-use std::collections::BTreeSet;
-use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 use crate::pool::{TermId, TermPool};
@@ -29,6 +31,17 @@ pub enum IndexChoice {
     Pos,
     /// Object-Subject-Predicate index.
     Osp,
+}
+
+impl IndexChoice {
+    /// Rotate an entry of this index back into `[s, p, o]` order.
+    fn to_spo(self, t: IdTriple) -> IdTriple {
+        match self {
+            IndexChoice::Spo => t,
+            IndexChoice::Pos => [t[2], t[0], t[1]],
+            IndexChoice::Osp => [t[1], t[2], t[0]],
+        }
+    }
 }
 
 /// Per-predicate cardinality statistics — the selectivity signals the
@@ -92,11 +105,7 @@ impl GraphStats {
 /// predicate, so transitions count them); one SPO walk yields distinct
 /// subjects (predicates are sorted within a subject, so each new `(s, p)`
 /// pair is one distinct subject for `p`).
-fn compute_stats(
-    spo: &BTreeSet<[TermId; 3]>,
-    pos: &BTreeSet<[TermId; 3]>,
-    terms: usize,
-) -> GraphStats {
+fn compute_stats(spo: &[IdTriple], pos: &[IdTriple], terms: usize) -> GraphStats {
     let mut predicates: Vec<PredicateStats> = Vec::new();
     let mut last: Option<[TermId; 2]> = None;
     for &[p, o, _] in pos {
@@ -132,15 +141,15 @@ fn compute_stats(
     }
 }
 
-/// Bulk-build one index: permute every triple, sort, collect. When all ids
-/// fit in 21 bits (they always do for per-QEP graphs, whose pools hold a
-/// few thousand terms), the three ids pack into one `u64` so the sort
-/// compares a single word per element instead of three.
+/// Bulk-build one index: permute every triple, sort, drop duplicates. When
+/// all ids fit in 21 bits (they always do for per-QEP graphs, whose pools
+/// hold a few thousand terms), the three ids pack into one `u64` so the
+/// sort compares a single word per element instead of three.
 fn build_index(
     triples: &[IdTriple],
     limit: u32,
-    perm: impl Fn(&IdTriple) -> [TermId; 3],
-) -> BTreeSet<[TermId; 3]> {
+    perm: impl Fn(&IdTriple) -> IdTriple,
+) -> Box<[IdTriple]> {
     const PACK_BITS: u32 = 21;
     const PACK_MASK: u64 = (1 << PACK_BITS) - 1;
     if u64::from(limit) <= 1 << PACK_BITS {
@@ -152,6 +161,7 @@ fn build_index(
             })
             .collect();
         keys.sort_unstable();
+        keys.dedup();
         keys.into_iter()
             .map(|k| {
                 [
@@ -162,38 +172,125 @@ fn build_index(
             })
             .collect()
     } else {
-        let mut v: Vec<[TermId; 3]> = triples.iter().map(perm).collect();
+        let mut v: Vec<IdTriple> = triples.iter().map(perm).collect();
         v.sort_unstable();
-        v.into_iter().collect()
+        v.dedup();
+        v.into_boxed_slice()
     }
 }
 
-/// An in-memory RDF graph with SPO/POS/OSP indexes.
-#[derive(Debug, Default, Clone)]
-pub struct Graph {
+/// True when `triples` is strictly increasing — already a valid SPO index.
+fn is_spo_sorted(triples: &[IdTriple]) -> bool {
+    triples.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Accumulates the terms and triples of a graph under construction.
+///
+/// Inserting is an intern plus a vector push: duplicates are kept until
+/// [`GraphBuilder::freeze`] sorts and deduplicates them once, in bulk.
+#[derive(Debug, Default)]
+pub struct GraphBuilder {
     pool: TermPool,
-    spo: BTreeSet<[TermId; 3]>,
-    pos: BTreeSet<[TermId; 3]>,
-    osp: BTreeSet<[TermId; 3]>,
+    triples: Vec<IdTriple>,
     next_bnode: u64,
-    // Lazily computed, invalidated on mutation. An `Arc` so the planner
-    // can hold the snapshot without borrowing the graph.
+}
+
+impl GraphBuilder {
+    /// Start an empty graph.
+    pub fn new() -> GraphBuilder {
+        GraphBuilder::default()
+    }
+
+    /// Intern a term in the graph's pool without asserting any triple.
+    /// Ids are dense and assigned in first-use order.
+    pub fn intern(&mut self, term: Term) -> TermId {
+        self.pool.intern(term)
+    }
+
+    /// Assert a triple of terms, interning subject, predicate and object
+    /// in that order.
+    pub fn insert(&mut self, s: Term, p: Term, o: Term) {
+        let s = self.pool.intern(s);
+        let p = self.pool.intern(p);
+        let o = self.pool.intern(o);
+        self.triples.push([s, p, o]);
+    }
+
+    /// Assert a triple of ids returned by [`GraphBuilder::intern`].
+    pub fn insert_ids(&mut self, t: IdTriple) {
+        assert!(
+            t.iter().all(|id| (id.0 as usize) < self.pool.len()),
+            "id triple {t:?} outside the pool"
+        );
+        self.triples.push(t);
+    }
+
+    /// Mint a fresh blank node unique within this graph.
+    pub fn fresh_bnode(&mut self, hint: &str) -> Term {
+        let n = self.next_bnode;
+        self.next_bnode += 1;
+        Term::bnode(format!("{hint}{n}"))
+    }
+
+    /// Sort the asserted triples into the three read-only indexes,
+    /// dropping duplicates.
+    pub fn freeze(self) -> Graph {
+        let spo = build_index(&self.triples, self.pool.len() as u32, |&t| t);
+        Graph::assemble(self.pool, spo, self.next_bnode)
+    }
+}
+
+/// The immutable body of a [`Graph`], shared by all of its clones.
+#[derive(Debug)]
+struct Frozen {
+    pool: TermPool,
+    spo: Box<[IdTriple]>,
+    pos: Box<[IdTriple]>,
+    osp: Box<[IdTriple]>,
+    next_bnode: u64,
+    // Computed on first use. An `Arc` so the planner can hold the
+    // snapshot without borrowing the graph.
     stats: OnceLock<Arc<GraphStats>>,
 }
 
+/// A read-only RDF graph: a term pool plus SPO/POS/OSP permutations of its
+/// triples held as flat sorted arrays.
+///
+/// Built by [`GraphBuilder::freeze`] or [`Graph::from_parts`]. Cloning is
+/// a reference-count bump: clones share the pool, the indexes and the
+/// cached statistics.
+#[derive(Debug, Clone)]
+pub struct Graph {
+    inner: Arc<Frozen>,
+}
+
 impl Graph {
-    /// Create an empty graph.
-    pub fn new() -> Graph {
-        Graph::default()
+    /// Wrap a pool and a sorted, duplicate-free SPO index, deriving the
+    /// other two permutations from it.
+    fn assemble(pool: TermPool, spo: Box<[IdTriple]>, next_bnode: u64) -> Graph {
+        let limit = pool.len() as u32;
+        let pos = build_index(&spo, limit, |&[s, p, o]| [p, o, s]);
+        let osp = build_index(&spo, limit, |&[s, p, o]| [o, s, p]);
+        Graph {
+            inner: Arc::new(Frozen {
+                pool,
+                spo,
+                pos,
+                osp,
+                next_bnode,
+                stats: OnceLock::new(),
+            }),
+        }
     }
 
     /// Rebuild a graph from its serialized parts: the term table in
     /// interning order, the id triples, and the blank-node counter. The
     /// reconstructed graph is indistinguishable from the original — same
-    /// dense ids, same index contents, same future `fresh_bnode` labels —
-    /// which is what lets a persisted graph evaluate SPARQL identically
-    /// to a freshly transformed one. The three indexes are bulk-built
-    /// from sorted vectors rather than inserted triple by triple.
+    /// dense ids, same index contents, same blank-node counter — which is
+    /// what lets a persisted graph evaluate SPARQL identically to a freshly
+    /// transformed one. Triples already in strict SPO order (as
+    /// [`Graph::iter_ids`] writes them) are adopted as the SPO index after
+    /// one linear check; any other order is sorted and deduplicated.
     pub fn from_parts(
         terms: Vec<Term>,
         triples: &[IdTriple],
@@ -211,115 +308,79 @@ impl Graph {
                 }
             }
         }
-        Ok(Graph {
-            spo: build_index(triples, limit, |&[s, p, o]| [s, p, o]),
-            pos: build_index(triples, limit, |&[s, p, o]| [p, o, s]),
-            osp: build_index(triples, limit, |&[s, p, o]| [o, s, p]),
-            pool,
-            next_bnode,
-            stats: OnceLock::new(),
-        })
+        let spo = if is_spo_sorted(triples) {
+            triples.into()
+        } else {
+            build_index(triples, limit, |&t| t)
+        };
+        Ok(Graph::assemble(pool, spo, next_bnode))
     }
 
     /// The graph's term pool (for resolving [`TermId`]s).
     pub fn pool(&self) -> &TermPool {
-        &self.pool
+        &self.inner.pool
     }
 
-    /// The blank-node counter (how many [`Graph::fresh_bnode`] calls have
-    /// happened), exposed so serializers can persist it.
+    /// The blank-node counter (how many [`GraphBuilder::fresh_bnode`]
+    /// calls built this graph), exposed so serializers can persist it.
     pub fn bnode_counter(&self) -> u64 {
-        self.next_bnode
+        self.inner.next_bnode
     }
 
     /// Number of triples stored.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.inner.spo.len()
     }
 
     /// True when the graph holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
-    }
-
-    /// Intern a term in this graph's pool without asserting any triple.
-    pub fn intern(&mut self, term: Term) -> TermId {
-        self.pool.intern(term)
+        self.inner.spo.is_empty()
     }
 
     /// Look up a term's id without interning.
     pub fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.pool.get(term)
+        self.inner.pool.get(term)
     }
 
     /// Resolve an id back to its term.
     pub fn term(&self, id: TermId) -> &Term {
-        self.pool.resolve(id)
-    }
-
-    /// Mint a fresh blank node unique within this graph.
-    pub fn fresh_bnode(&mut self, hint: &str) -> Term {
-        let n = self.next_bnode;
-        self.next_bnode += 1;
-        Term::bnode(format!("{hint}{n}"))
-    }
-
-    /// Insert a triple of terms. Returns `true` if the triple was new.
-    pub fn insert(&mut self, s: Term, p: Term, o: Term) -> bool {
-        let s = self.pool.intern(s);
-        let p = self.pool.intern(p);
-        let o = self.pool.intern(o);
-        self.insert_ids([s, p, o])
-    }
-
-    /// Insert a triple of already-interned ids. Returns `true` if new.
-    pub fn insert_ids(&mut self, [s, p, o]: IdTriple) -> bool {
-        let added = self.spo.insert([s, p, o]);
-        if added {
-            self.pos.insert([p, o, s]);
-            self.osp.insert([o, s, p]);
-            // Cached statistics describe the pre-insert graph; drop them.
-            self.stats.take();
-        }
-        added
+        self.inner.pool.resolve(id)
     }
 
     /// Whole-graph cardinality statistics, computed on first use and
-    /// cached until the next mutation. Cheap to share: the planner clones
-    /// the `Arc`, not the stats.
+    /// shared by every clone of this graph. Cheap to hand out: the
+    /// planner clones the `Arc`, not the stats.
     pub fn stats(&self) -> Arc<GraphStats> {
-        self.stats
-            .get_or_init(|| Arc::new(compute_stats(&self.spo, &self.pos, self.pool.len())))
+        let f = &*self.inner;
+        f.stats
+            .get_or_init(|| Arc::new(compute_stats(&f.spo, &f.pos, f.pool.len())))
             .clone()
     }
 
     /// True when the graph contains the exact triple.
     pub fn contains(&self, s: &Term, p: &Term, o: &Term) -> bool {
-        match (self.pool.get(s), self.pool.get(p), self.pool.get(o)) {
-            (Some(s), Some(p), Some(o)) => self.spo.contains(&[s, p, o]),
+        match (self.term_id(s), self.term_id(p), self.term_id(o)) {
+            (Some(s), Some(p), Some(o)) => self.inner.spo.binary_search(&[s, p, o]).is_ok(),
             _ => false,
         }
     }
 
-    /// True when the graph contains the triple of interned ids.
-    pub fn contains_ids(&self, t: IdTriple) -> bool {
-        self.spo.contains(&t)
-    }
-
     /// Iterate over every triple as ids, in SPO order.
     pub fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo.iter().copied()
+        self.inner.spo.iter().copied()
     }
 
     /// Iterate over every triple as resolved terms, in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(move |&[s, p, o]| {
-            (
-                self.pool.resolve(s).clone(),
-                self.pool.resolve(p).clone(),
-                self.pool.resolve(o).clone(),
-            )
-        })
+        self.iter_ids().map(move |t| self.resolve(t))
+    }
+
+    fn resolve(&self, [s, p, o]: IdTriple) -> Triple {
+        (
+            self.term(s).clone(),
+            self.term(p).clone(),
+            self.term(o).clone(),
+        )
     }
 
     /// Which index [`Graph::matching_ids`] will scan for a given binding
@@ -336,31 +397,30 @@ impl Graph {
     }
 
     /// Scan all triples matching the pattern, where `None` is a wildcard.
-    /// Ids must come from this graph's pool.
+    /// Ids must come from this graph's pool. The matches are one
+    /// contiguous slice of the index [`Graph::index_for`] names, found by
+    /// binary search; the iterator yields them in `[s, p, o]` order.
     pub fn matching_ids(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> Box<dyn Iterator<Item = IdTriple> + '_> {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                let hit = self.spo.contains(&[s, p, o]);
-                Box::new(hit.then_some([s, p, o]).into_iter())
-            }
-            (Some(s), Some(p), None) => Box::new(
-                range2(&self.spo, s, p).copied(), // already SPO order
-            ),
-            (Some(s), None, None) => Box::new(range1(&self.spo, s).copied()),
-            (Some(s), None, Some(o)) => {
-                Box::new(range2(&self.osp, o, s).map(|&[o, s, p]| [s, p, o]))
-            }
-            (None, Some(p), Some(o)) => {
-                Box::new(range2(&self.pos, p, o).map(|&[p, o, s]| [s, p, o]))
-            }
-            (None, Some(p), None) => Box::new(range1(&self.pos, p).map(|&[p, o, s]| [s, p, o])),
-            (None, None, Some(o)) => Box::new(range1(&self.osp, o).map(|&[o, s, p]| [s, p, o])),
-            (None, None, None) => Box::new(self.spo.iter().copied()),
+    ) -> Matches<'_> {
+        let f = &*self.inner;
+        let index = Graph::index_for(s.is_some(), p.is_some(), o.is_some());
+        let slice = match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => range(&f.spo, [s, p, o]),
+            (Some(s), Some(p), None) => range(&f.spo, [s, p]),
+            (Some(s), None, None) => range(&f.spo, [s]),
+            (Some(s), None, Some(o)) => range(&f.osp, [o, s]),
+            (None, Some(p), Some(o)) => range(&f.pos, [p, o]),
+            (None, Some(p), None) => range(&f.pos, [p]),
+            (None, None, Some(o)) => range(&f.osp, [o]),
+            (None, None, None) => &f.spo[..],
+        };
+        Matches {
+            iter: slice.iter(),
+            index,
         }
     }
 
@@ -371,34 +431,19 @@ impl Graph {
         s: Option<&Term>,
         p: Option<&Term>,
         o: Option<&Term>,
-    ) -> Box<dyn Iterator<Item = Triple> + 'g> {
+    ) -> impl Iterator<Item = Triple> + 'g {
         // Translate terms to ids; an unknown term ⇒ empty result.
-        let mut ids = [None, None, None];
-        for (slot, term) in ids.iter_mut().zip([s, p, o]) {
-            match term {
-                None => {}
-                Some(t) => match self.pool.get(t) {
-                    Some(id) => *slot = Some(id),
-                    None => return Box::new(std::iter::empty()),
-                },
-            }
-        }
-        Box::new(
-            self.matching_ids(ids[0], ids[1], ids[2])
-                .map(move |[s, p, o]| {
-                    (
-                        self.pool.resolve(s).clone(),
-                        self.pool.resolve(p).clone(),
-                        self.pool.resolve(o).clone(),
-                    )
-                }),
-        )
-    }
-
-    /// Number of triples with the given predicate — the selectivity signal
-    /// the SPARQL planner uses to order triple patterns.
-    pub fn predicate_cardinality(&self, p: TermId) -> usize {
-        range1(&self.pos, p).count()
+        let id = |t: Option<&Term>| match t {
+            None => Some(None),
+            Some(t) => self.term_id(t).map(Some),
+        };
+        let ids = match (id(s), id(p), id(o)) {
+            (Some(s), Some(p), Some(o)) => Some([s, p, o]),
+            _ => None,
+        };
+        ids.into_iter()
+            .flat_map(move |[s, p, o]| self.matching_ids(s, p, o))
+            .map(move |t| self.resolve(t))
     }
 
     /// The distinct predicates asserted in this graph, in id order (one
@@ -406,7 +451,7 @@ impl Graph {
     /// pruning layer summarizes per QEP.
     pub fn distinct_predicates(&self) -> Vec<TermId> {
         let mut out = Vec::new();
-        for &[p, _, _] in &self.pos {
+        for &[p, _, _] in self.inner.pos.iter() {
             if out.last() != Some(&p) {
                 out.push(p);
             }
@@ -417,9 +462,8 @@ impl Graph {
     /// True when at least one triple carries predicate `p`. An un-interned
     /// term is trivially absent.
     pub fn has_predicate(&self, p: &Term) -> bool {
-        self.pool
-            .get(p)
-            .is_some_and(|id| range1(&self.pos, id).next().is_some())
+        self.term_id(p)
+            .is_some_and(|id| !range(&self.inner.pos, [id]).is_empty())
     }
 
     /// True when at least one triple carries predicate `p` with object `o`
@@ -427,8 +471,8 @@ impl Graph {
     /// that lack a required concrete property value without running any
     /// SPARQL.
     pub fn has_predicate_object(&self, p: &Term, o: &Term) -> bool {
-        match (self.pool.get(p), self.pool.get(o)) {
-            (Some(p), Some(o)) => range2(&self.pos, p, o).next().is_some(),
+        match (self.term_id(p), self.term_id(o)) {
+            (Some(p), Some(o)) => !range(&self.inner.pos, [p, o]).is_empty(),
             _ => false,
         }
     }
@@ -449,55 +493,75 @@ impl Graph {
             .map(|t| t.2)
             .collect()
     }
+}
 
-    /// All subjects of `(?, p, o)`.
-    pub fn subjects_of(&self, p: &Term, o: &Term) -> Vec<Term> {
-        self.triples_matching(None, Some(p), Some(o))
-            .map(|t| t.0)
-            .collect()
+/// The entries of a sorted index whose first `N` components equal `key`:
+/// two binary searches, so the slice is found in O(log n).
+fn range<const N: usize>(idx: &[IdTriple], key: [TermId; N]) -> &[IdTriple] {
+    let prefix = |t: &IdTriple| -> [TermId; N] { std::array::from_fn(|i| t[i]) };
+    let lo = idx.partition_point(|t| prefix(t) < key);
+    let len = idx[lo..].partition_point(|t| prefix(t) == key);
+    &idx[lo..lo + len]
+}
+
+/// The triples [`Graph::matching_ids`] found: a slice of one index,
+/// rotated back to `[s, p, o]` order as it is walked.
+#[derive(Debug, Clone)]
+pub struct Matches<'g> {
+    iter: std::slice::Iter<'g, IdTriple>,
+    index: IndexChoice,
+}
+
+impl Iterator for Matches<'_> {
+    type Item = IdTriple;
+
+    fn next(&mut self) -> Option<IdTriple> {
+        self.iter.next().map(|&t| self.index.to_spo(t))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.iter.size_hint()
+    }
+
+    fn count(self) -> usize {
+        self.iter.len()
     }
 }
 
-/// Range over a B-tree index where the first component is fixed.
-fn range1(idx: &BTreeSet<[TermId; 3]>, a: TermId) -> impl Iterator<Item = &[TermId; 3]> {
-    idx.range((
-        Bound::Included([a, TermId::MIN, TermId::MIN]),
-        Bound::Included([a, TermId::MAX, TermId::MAX]),
-    ))
-}
-
-/// Range over a B-tree index where the first two components are fixed.
-fn range2(idx: &BTreeSet<[TermId; 3]>, a: TermId, b: TermId) -> impl Iterator<Item = &[TermId; 3]> {
-    idx.range((
-        Bound::Included([a, b, TermId::MIN]),
-        Bound::Included([a, b, TermId::MAX]),
-    ))
-}
+impl ExactSizeIterator for Matches<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> Graph {
-        let mut g = Graph::new();
+        let mut b = GraphBuilder::new();
         let p_type = Term::iri("p:hasPopType");
         let p_card = Term::iri("p:hasEstimateCardinality");
         let p_in = Term::iri("p:hasInputStream");
-        g.insert(Term::iri("q:pop2"), p_type.clone(), Term::lit_str("NLJOIN"));
-        g.insert(Term::iri("q:pop3"), p_type.clone(), Term::lit_str("FETCH"));
-        g.insert(Term::iri("q:pop5"), p_type.clone(), Term::lit_str("TBSCAN"));
-        g.insert(Term::iri("q:pop5"), p_card.clone(), Term::lit_str("4043.0"));
-        g.insert(Term::iri("q:pop2"), p_in.clone(), Term::iri("q:pop3"));
-        g.insert(Term::iri("q:pop2"), p_in.clone(), Term::iri("q:pop5"));
-        g
+        b.insert(Term::iri("q:pop2"), p_type.clone(), Term::lit_str("NLJOIN"));
+        b.insert(Term::iri("q:pop3"), p_type.clone(), Term::lit_str("FETCH"));
+        b.insert(Term::iri("q:pop5"), p_type.clone(), Term::lit_str("TBSCAN"));
+        b.insert(Term::iri("q:pop5"), p_card.clone(), Term::lit_str("4043.0"));
+        b.insert(Term::iri("q:pop2"), p_in.clone(), Term::iri("q:pop3"));
+        b.insert(Term::iri("q:pop2"), p_in.clone(), Term::iri("q:pop5"));
+        b.freeze()
+    }
+
+    /// The parts [`Graph::from_parts`] takes, read back out of a graph.
+    fn parts(g: &Graph) -> (Vec<Term>, Vec<IdTriple>) {
+        let terms = g.pool().iter().map(|(_, t)| t.clone()).collect();
+        (terms, g.iter_ids().collect())
     }
 
     #[test]
-    fn insert_deduplicates() {
-        let mut g = Graph::new();
-        assert!(g.insert(Term::iri("a"), Term::iri("b"), Term::iri("c")));
-        assert!(!g.insert(Term::iri("a"), Term::iri("b"), Term::iri("c")));
+    fn freeze_deduplicates() {
+        let mut b = GraphBuilder::new();
+        b.insert(Term::iri("a"), Term::iri("b"), Term::iri("c"));
+        b.insert(Term::iri("a"), Term::iri("b"), Term::iri("c"));
+        let g = b.freeze();
         assert_eq!(g.len(), 1);
+        assert_eq!(g.pool().len(), 3);
     }
 
     #[test]
@@ -562,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn object_and_subject_helpers() {
+    fn object_helpers() {
         let g = sample();
         assert_eq!(
             g.object_of(&Term::iri("q:pop5"), &Term::iri("p:hasPopType")),
@@ -578,18 +642,15 @@ mod tests {
                 .len(),
             2
         );
-        assert_eq!(
-            g.subjects_of(&Term::iri("p:hasPopType"), &Term::lit_str("FETCH")),
-            vec![Term::iri("q:pop3")]
-        );
     }
 
     #[test]
-    fn fresh_bnodes_are_unique() {
-        let mut g = Graph::new();
-        let a = g.fresh_bnode("b");
-        let b = g.fresh_bnode("b");
-        assert_ne!(a, b);
+    fn fresh_bnodes_are_unique_and_counted() {
+        let mut b = GraphBuilder::new();
+        let x = b.fresh_bnode("b");
+        let y = b.fresh_bnode("b");
+        assert_ne!(x, y);
+        assert_eq!(b.freeze().bnode_counter(), 2);
     }
 
     #[test]
@@ -615,11 +676,17 @@ mod tests {
 
     #[test]
     fn from_parts_reconstructs_an_identical_graph() {
-        let mut g = sample();
-        g.fresh_bnode("n");
-        g.fresh_bnode("n");
-        let terms: Vec<Term> = g.pool().iter().map(|(_, t)| t.clone()).collect();
-        let triples: Vec<IdTriple> = g.iter_ids().collect();
+        let mut b = GraphBuilder::new();
+        b.insert(
+            Term::iri("q:pop2"),
+            Term::iri("p:t"),
+            Term::lit_str("NLJOIN"),
+        );
+        let n = b.fresh_bnode("n");
+        b.insert(Term::iri("q:pop2"), Term::iri("p:in"), n);
+        b.fresh_bnode("n");
+        let g = b.freeze();
+        let (terms, triples) = parts(&g);
         let rebuilt = Graph::from_parts(terms, &triples, g.bnode_counter()).unwrap();
         assert_eq!(rebuilt.len(), g.len());
         assert_eq!(rebuilt.pool().len(), g.pool().len());
@@ -633,10 +700,39 @@ mod tests {
             g.iter_ids().collect::<Vec<_>>()
         );
         assert_eq!(rebuilt.distinct_predicates(), g.distinct_predicates());
-        // Blank-node counter carried over: next fresh bnode matches.
-        let mut g2 = g.clone();
-        let mut r2 = rebuilt;
-        assert_eq!(g2.fresh_bnode("n"), r2.fresh_bnode("n"));
+        // Blank-node counter carried over.
+        assert_eq!(rebuilt.bnode_counter(), 2);
+    }
+
+    #[test]
+    fn from_parts_adopts_triples_already_in_spo_order() {
+        let g = sample();
+        let (terms, triples) = parts(&g);
+        assert!(is_spo_sorted(&triples));
+        let rebuilt = Graph::from_parts(terms, &triples, 0).unwrap();
+        assert_eq!(rebuilt.iter_ids().collect::<Vec<_>>(), triples);
+        let p_in = g.term_id(&Term::iri("p:hasInputStream")).unwrap();
+        assert_eq!(rebuilt.matching_ids(None, Some(p_in), None).count(), 2);
+        assert_eq!(*rebuilt.stats(), *g.stats());
+    }
+
+    #[test]
+    fn from_parts_sorts_and_deduplicates_any_other_order() {
+        let g = sample();
+        let (terms, sorted) = parts(&g);
+        // Reversed, and in order with one triple repeated: neither is
+        // strictly increasing.
+        let reversed: Vec<IdTriple> = sorted.iter().rev().copied().collect();
+        let mut repeated = sorted.clone();
+        repeated.insert(1, sorted[1]);
+        let p_in = g.term_id(&Term::iri("p:hasInputStream")).unwrap();
+        for triples in [reversed, repeated] {
+            assert!(!is_spo_sorted(&triples));
+            let rebuilt = Graph::from_parts(terms.clone(), &triples, 0).unwrap();
+            assert_eq!(rebuilt.iter_ids().collect::<Vec<_>>(), sorted);
+            assert_eq!(rebuilt.matching_ids(None, Some(p_in), None).count(), 2);
+            assert_eq!(*rebuilt.stats(), *g.stats());
+        }
     }
 
     #[test]
@@ -652,25 +748,19 @@ mod tests {
     }
 
     #[test]
-    fn predicate_cardinality_counts() {
-        let g = sample();
-        let p = g.term_id(&Term::iri("p:hasPopType")).unwrap();
-        assert_eq!(g.predicate_cardinality(p), 3);
-    }
-
-    #[test]
     fn stats_count_per_predicate_cardinalities() {
         let g = sample();
         let stats = g.stats();
         assert_eq!(stats.triples, 6);
         assert_eq!(stats.terms, g.pool().len());
         assert_eq!(stats.predicates.len(), 3);
-        // Sorted by predicate id, and consistent with the slow paths.
+        // Sorted by predicate id, and equal to a naive count over all triples.
         for w in stats.predicates.windows(2) {
             assert!(w[0].predicate < w[1].predicate);
         }
         for ps in &stats.predicates {
-            assert_eq!(ps.count, g.predicate_cardinality(ps.predicate));
+            let naive = g.iter_ids().filter(|t| t[1] == ps.predicate).count();
+            assert_eq!(ps.count, naive);
         }
 
         // p:hasPopType — 3 triples, 3 subjects, 3 objects: fan-out 1.
@@ -700,33 +790,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_cached_and_invalidated_on_insert() {
-        let mut g = sample();
-        let before = g.stats();
-        // Same Arc while the graph is unchanged.
-        assert!(Arc::ptr_eq(&before, &g.stats()));
-        // A duplicate insert is a no-op and keeps the cache.
-        assert!(!g.insert(
-            Term::iri("q:pop2"),
-            Term::iri("p:hasPopType"),
-            Term::lit_str("NLJOIN"),
-        ));
-        assert!(Arc::ptr_eq(&before, &g.stats()));
-        // A real insert invalidates: the new snapshot sees the new triple.
-        assert!(g.insert(Term::iri("q:pop9"), Term::iri("p:new"), Term::iri("q:pop2")));
-        let after = g.stats();
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(after.triples, 7);
-        assert_eq!(before.triples, 6);
-        let p_new = g.term_id(&Term::iri("p:new")).unwrap();
-        assert_eq!(after.predicate_count(p_new), 1);
+    fn stats_are_computed_once_and_shared_by_clones() {
+        let g = sample();
+        let clone = g.clone();
+        let first = clone.stats();
+        // The clone computed them; the original sees the same snapshot.
+        assert!(Arc::ptr_eq(&first, &g.stats()));
+        assert!(Arc::ptr_eq(&first, &clone.stats()));
+        // Cloning shares the whole frozen body, not a copy of it.
+        assert!(Arc::ptr_eq(&g.inner, &clone.inner));
+        assert_eq!(first.triples, 6);
     }
 
     #[test]
     fn stats_match_between_built_and_reconstructed_graphs() {
         let g = sample();
-        let terms: Vec<Term> = g.pool().iter().map(|(_, t)| t.clone()).collect();
-        let triples: Vec<IdTriple> = g.iter_ids().collect();
+        let (terms, triples) = parts(&g);
         let rebuilt = Graph::from_parts(terms, &triples, g.bnode_counter()).unwrap();
         assert_eq!(*rebuilt.stats(), *g.stats());
     }

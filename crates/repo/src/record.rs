@@ -394,11 +394,12 @@ impl RepoRecord {
 mod tests {
     use super::*;
     use optimatch_qep::fixtures;
+    use optimatch_rdf::GraphBuilder;
 
     /// A graph with every term kind, built with a deliberately non-sorted
     /// interning order.
     fn sample_graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         g.insert(
             Term::iri("http://x/b"),
             Term::iri("http://x/p"),
@@ -419,7 +420,7 @@ mod tests {
                 lang: "en".into(),
             }),
         );
-        g
+        g.freeze()
     }
 
     fn sample_record() -> RepoRecord {
@@ -486,7 +487,7 @@ mod tests {
                 labels: Vec::new(),
                 summary: StoredSummary::default(),
                 qep,
-                graph: Graph::new(),
+                graph: GraphBuilder::new().freeze(),
             };
             let back = RepoRecord::decode(&rec.encode()).unwrap();
             assert_eq!(back.qep, rec.qep);

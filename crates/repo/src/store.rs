@@ -839,12 +839,12 @@ mod tests {
     use super::*;
     use crate::record::StoredSummary;
     use optimatch_qep::fixtures;
-    use optimatch_rdf::{Graph, Term};
+    use optimatch_rdf::{GraphBuilder, Term};
 
     fn record(id: &str, qep: optimatch_qep::Qep) -> RepoRecord {
         let mut qep = qep;
         qep.id = id.to_string();
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         graph.insert(
             Term::iri(format!("http://x/{id}")),
             Term::iri("http://x/hasPopType"),
@@ -861,7 +861,7 @@ mod tests {
                 max_fan_in: 1,
             },
             qep,
-            graph,
+            graph: graph.freeze(),
         }
     }
 

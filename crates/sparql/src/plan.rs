@@ -910,10 +910,11 @@ mod tests {
     use super::*;
     use crate::algebra::translate;
     use crate::parser::parse;
+    use optimatch_rdf::GraphBuilder;
 
     /// The Figure-1 style plan graph used across the evaluator tests.
     fn fig1_graph() -> Graph {
-        let mut g = Graph::new();
+        let mut g = GraphBuilder::new();
         let pred = |n: &str| Term::iri(format!("http://optimatch/pred#{n}"));
         let pop = |n: u32| Term::iri(format!("http://optimatch/qep#pop{n}"));
         let t = |s: &str| Term::lit_str(s);
@@ -928,7 +929,7 @@ mod tests {
         g.insert(pop(3), pred("hasInputStream"), pop(4));
         g.insert(pop(5), pred("hasInputStream"), pop(7));
         g.insert(pop(7), pred("isABaseObj"), Term::lit_str("CUST_DIM"));
-        g
+        g.freeze()
     }
 
     const PFX: &str = "PREFIX p: <http://optimatch/pred#>\n";

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, Term};
 use optimatch_sparql::{execute, execute_parsed, parse_query};
 
 const TYPES: &[&str] = &[
@@ -37,7 +37,7 @@ fn arb_tree(max: usize) -> impl Strategy<Value = TreeSpec> {
 }
 
 fn build_graph(spec: &TreeSpec) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     let node = |i: usize| Term::iri(format!("q:pop{i}"));
     for i in 0..spec.types.len() {
         g.insert(
@@ -55,7 +55,7 @@ fn build_graph(spec: &TreeSpec) -> Graph {
         let child = child0 + 1;
         g.insert(node(parent), Term::iri("p:in"), node(child));
     }
-    g
+    g.freeze()
 }
 
 /// Reference implementation of descendant reachability on the spec.
@@ -170,12 +170,14 @@ fn parse_once_execute_many_is_consistent() {
         "SELECT ?n WHERE { ?n <p:type> \"TBSCAN\" . ?n <p:card> ?c . FILTER (?c > 50) }",
     )
     .unwrap();
-    let mut g1 = Graph::new();
+    let mut g1 = GraphBuilder::new();
     g1.insert(Term::iri("a"), Term::iri("p:type"), Term::lit_str("TBSCAN"));
     g1.insert(Term::iri("a"), Term::iri("p:card"), Term::lit_str("100"));
-    let mut g2 = Graph::new();
+    let g1 = g1.freeze();
+    let mut g2 = GraphBuilder::new();
     g2.insert(Term::iri("b"), Term::iri("p:type"), Term::lit_str("TBSCAN"));
     g2.insert(Term::iri("b"), Term::iri("p:card"), Term::lit_str("10"));
+    let g2 = g2.freeze();
 
     assert_eq!(execute_parsed(&g1, &q).unwrap().len(), 1);
     assert_eq!(execute_parsed(&g2, &q).unwrap().len(), 0);

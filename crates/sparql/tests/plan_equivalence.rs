@@ -4,7 +4,7 @@
 //! source-order oracle. Seeded xorshift generation keeps every case
 //! reproducible from its printed seed.
 
-use optimatch_rdf::{Graph, Term};
+use optimatch_rdf::{Graph, GraphBuilder, Term};
 use optimatch_sparql::{execute_parsed_traced, parse_query, Budget, PlanOptions};
 
 /// xorshift64* — deterministic, dependency-free.
@@ -35,7 +35,7 @@ const PREDS: [&str; 5] = ["p:in", "p:out", "p:type", "p:card", "p:base"];
 /// small predicate vocabulary plus literal-valued attributes — the same
 /// shape as transformed QEPs (sparse, few predicates, shallow trees).
 fn random_graph(rng: &mut Rng) -> Graph {
-    let mut g = Graph::new();
+    let mut g = GraphBuilder::new();
     let nodes = 4 + rng.below(6);
     let edges = 6 + rng.below(14);
     for _ in 0..edges {
@@ -48,7 +48,7 @@ fn random_graph(rng: &mut Rng) -> Graph {
         };
         g.insert(s, Term::iri(p), o);
     }
-    g
+    g.freeze()
 }
 
 /// A random path expression over the predicate vocabulary.
